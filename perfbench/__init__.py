@@ -1,0 +1,5 @@
+"""P-Tucker benchmark: end-to-end workloads, correctness checks and a layer trace.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
