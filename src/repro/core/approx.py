@@ -1,9 +1,10 @@
 """P-Tucker-Approx core-truncation logic (Algorithm 4).
 
 Per iteration, every core entry β gets a partial reconstruction error
-R(β) (Eq. 14, computed in ``row_update.rerror_partial`` /
-``ptucker.spark_rerror``); the top-p·|G| entries by R(β) are "noisy" and
-removed, shrinking |G| and hence the per-iteration cost (Theorem 7).
+R(β) (Eq. 14, computed by ``row_update.rerror_partial`` in the last
+mode's tasks of ``ptucker.factorize``); the top-p·|G| entries by R(β)
+are "noisy" and removed, shrinking |G| and hence the per-iteration cost
+(Theorem 7).
 """
 from __future__ import annotations
 

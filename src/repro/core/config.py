@@ -50,8 +50,14 @@ class PTuckerResult:
 
     ``factors``/``core`` are the final, QR-orthogonalized state
     (Algorithm 2 lines 8-11); ``errors[t]`` is the reconstruction error
-    (Eq. 6) after iteration t; ``iter_times[t]`` the wall-clock seconds of
-    iteration t (the paper's reported metric is their mean).
+    (Eq. 6) after iteration t's factor updates; ``iter_times[t]`` the
+    wall-clock seconds of iteration t (the paper's reported metric is
+    their mean).
+
+    For the approx variant, ``errors[t]`` is the error of the model
+    *before* iteration t's core truncation: the updated factors with the
+    core the iteration started from. So ``final_error`` describes the
+    pre-truncation model, not the returned one.
     """
 
     factors: list[np.ndarray]

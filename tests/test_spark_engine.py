@@ -1,9 +1,14 @@
 """Integration tests: the Spark P-Tucker engines vs the sequential oracle."""
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 
 from repro.core import ptucker, reference
+from repro.core.approx import use_sparse_core
 from repro.core.config import PTuckerConfig
 from repro.core.metrics import (
     reconstruction_error,
@@ -88,6 +93,17 @@ def test_spark_matches_reference_approx(spark, tensor, mpt):
     assert rs.core_nnz_history == rr.core_nnz_history
 
 
+def test_spark_matches_reference_approx_past_coo_switch(spark, tensor, mpt):
+    """Truncation at p=0.2 takes |G|=27 to 6 < 0.25·27 after 8 iterations,
+    so iteration 9 runs the COO kernels with the fused error and R(β)."""
+    cfg = _cfg(variant="approx", max_iters=9)
+    rs = ptucker.factorize(spark, mpt, tensor.shape, cfg)
+    rr = reference.factorize(tensor, cfg)
+    assert use_sparse_core(rr.core_nnz_history[-2], 27)
+    np.testing.assert_allclose(rs.errors, rr.errors, rtol=1e-9)
+    assert rs.core_nnz_history == rr.core_nnz_history
+
+
 def test_spark_matches_reference_cache(spark, tensor):
     cfg = _cfg(variant="cache", max_iters=2)
     rs = ptucker.factorize(spark, tensor.to_spark(spark), tensor.shape, cfg)
@@ -97,13 +113,39 @@ def test_spark_matches_reference_cache(spark, tensor):
         np.testing.assert_allclose(a, b, atol=1e-7)
 
 
-@pytest.mark.parametrize("partitions", [1, 2, 8])
-def test_partition_count_invariance(spark, tensor, partitions):
+# Tolerances of the Spark == reference checks above, per variant.
+_RTOL = {"default": 1e-9, "approx": 1e-9, "cache": 1e-8}
+
+
+@pytest.mark.parametrize(
+    "variant, partitions",
+    [pytest.param("default", p, id=str(p)) for p in (1, 2, 8)]
+    + [
+        pytest.param(v, p, id=f"{v}-{p}")
+        for v, p in itertools.product(("approx", "cache"), (1, 2, 8))
+    ],
+)
+def test_partition_count_invariance(spark, tensor, variant, partitions):
     """Results must not depend on the parallelism degree."""
-    cfg = _cfg(partitions=partitions, max_iters=2)
+    cfg = _cfg(partitions=partitions, max_iters=2, variant=variant)
     rs = ptucker.factorize(spark, tensor.to_spark(spark), tensor.shape, cfg)
     rr = reference.factorize(tensor, cfg)
-    np.testing.assert_allclose(rs.errors, rr.errors, rtol=1e-9)
+    np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
+    assert rs.core_nnz_history == rr.core_nnz_history
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_empty_partitions_count_as_zero(spark, variant):
+    """With 3 mode-2 rows on 8 partitions, most last-mode tasks are empty
+    and emit no stats record; the error and R(β) sums must not miss them."""
+    t = lowrank_tensor(
+        shape=(16, 12, 3), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=5
+    )
+    cfg = _cfg(ranks=(2, 2, 2), partitions=8, max_iters=2, variant=variant)
+    rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
+    rr = reference.factorize(t, cfg)
+    np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
+    assert rs.core_nnz_history == rr.core_nnz_history
 
 
 def test_accepts_raw_dataframe(spark, tensor):
@@ -196,3 +238,85 @@ def test_spark_convergence_stops_early(spark):
     rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
     assert rs.converged
     assert rs.n_iters < 40
+
+
+_GROUPS = itertools.count()
+
+
+def _one_iteration(spark, entries, shape, cfg) -> tuple[int, int]:
+    """(jobs, shuffle-writing stages) of a one-iteration factorization."""
+    sc = spark.sparkContext
+    group = f"one-iteration-{cfg.variant}-{next(_GROUPS)}"
+    sc.setJobGroup(group, group)
+    try:
+        ptucker.factorize(spark, entries, shape, replace(cfg, max_iters=1))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    jsc = sc._jsc.sc()
+    jsc.listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+    store = jsc.statusStore()
+    jobs = sc.statusTracker().getJobIdsForGroup(group)
+    shuffles = 0
+    for job in jobs:
+        stages = store.job(job).stageIds().iterator()
+        while stages.hasNext():
+            stage = store.lastStageAttempt(stages.next())
+            shuffles += stage.shuffleWriteRecords() > 0
+    return len(jobs), shuffles
+
+
+@pytest.fixture(scope="module")
+def own_mpt(spark):
+    """Views of a tensor no other test caches, so no test can release them."""
+    t = lowrank_tensor(
+        shape=(30, 20, 10), ranks=(3, 3, 3), nnz=1500, noise=0.1, seed=9
+    )
+    m = ModePartitionedTensor(t.to_spark(spark), t.shape, partitions=4)
+    yield m
+    m.unpersist()
+
+
+@pytest.mark.parametrize("variant", ["default", "approx"])
+def test_iteration_is_one_job_per_mode(spark, own_mpt, variant):
+    """Each mode update is one action; error and R(β) add no pass."""
+    jobs, shuffles = _one_iteration(
+        spark, own_mpt, own_mpt.shape, _cfg(variant=variant)
+    )
+    assert (jobs, shuffles) == (3, 0)
+
+
+def test_cache_iteration_passes(spark, own_mpt, monkeypatch):
+    """Cache: no count(), and one shuffle per mode for modes 1..N-1.
+
+    Mode 0 reads the i0-partitioned view: one job. Under adaptive query
+    execution each later mode runs three: a check of the persisted
+    previous output, the shuffle map stage and the result stage.
+    """
+    counted = []
+    cls = type(own_mpt.view(0))
+    count = cls.count
+    monkeypatch.setattr(cls, "count", lambda df: counted.append(df) or count(df))
+    jobs, shuffles = _one_iteration(
+        spark, own_mpt, own_mpt.shape, _cfg(variant="cache")
+    )
+    assert counted == []
+    assert shuffles == 2
+    assert jobs == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_failed_pass_releases_persisted_data(spark, variant):
+    """An index ≥ I raises, and nothing persisted for the run outlives it."""
+    t = lowrank_tensor(
+        shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=7
+    )
+    idx = t.idx.copy()
+    idx[0, 0] = t.shape[0]
+    df = spark_entries_from_coo(spark, idx, t.vals)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    cfg = _cfg(ranks=(2, 2, 2), partitions=2, variant=variant)
+    # The driver's assembly or, for cache, the mode-0 task raises.
+    with pytest.raises((IndexError, PythonException), match="out of bounds"):
+        ptucker.factorize(spark, df, t.shape, cfg)
+    assert persistent().size() == before
