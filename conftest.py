@@ -38,6 +38,9 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# Workers run the driver's interpreter (and so its NumPy), which the 1e-9
+# Spark == reference checks assume; read when the first worker starts.
+os.environ.setdefault("PYSPARK_PYTHON", sys.executable)
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -10,6 +10,7 @@ the JVM lazily at that point). Without this, the driver runs with the
 from __future__ import annotations
 
 import os
+import sys
 
 
 def _driver_mem() -> str:
@@ -34,6 +35,8 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# Workers run the driver's interpreter and NumPy, as under pytest.
+os.environ.setdefault("PYSPARK_PYTHON", sys.executable)
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -42,6 +42,13 @@ class PTuckerConfig:
             raise ValueError("truncation_rate must be in (0, 1)")
         if any(j < 1 for j in self.ranks):
             raise ValueError("ranks must be positive")
+        # Theorem 1: B + λI is positive definite only for λ > 0.
+        if not self.lam > 0:
+            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass

@@ -3,20 +3,17 @@
 The paper evaluates with (a) reconstruction error over the training
 (observed) entries and (b) RMSE over a held-out 10% of the observed
 entries, predicted via Eq. 5. Both NumPy (driver) and Spark paths are
-provided; the Spark path is a single ``mapInPandas`` sweep emitting
-per-partition partials (paper Section III-D, "Section 3" parallelism).
+provided; the Spark path is ``ptucker.spark_sse``, a single ``mapInPandas``
+sweep emitting per-partition partials (paper Section III-D).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core import delta as delta_mod
+from repro.core import ptucker
 from repro.tensor.coo import CooTensor
-from repro.tensor.spark_tensor import entry_columns
 
 
 def predict(core: np.ndarray, factors: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
@@ -51,25 +48,9 @@ def spark_reconstruction_error(
     core: np.ndarray,
     factors: list[np.ndarray],
 ) -> float:
-    """Distributed Eq. 6 over an entries DataFrame."""
-    order = len(shape)
-    sc = entries.sparkSession.sparkContext
-    bc = sc.broadcast((core, factors))
-
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        frames = list(pdfs)
-        if not frames:
-            yield pd.DataFrame({"sse": [0.0]})
-            return
-        pdf = pd.concat(frames, ignore_index=True)
-        idx = np.stack(
-            [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-        )
-        c, f = bc.value
-        pred = delta_mod.predictions(c, f, idx)
-        r = pdf["val"].to_numpy(np.float64) - pred
-        yield pd.DataFrame({"sse": [float(np.dot(r, r))]})
-
-    parts = entries.mapInPandas(run, schema="sse double").toPandas()
-    bc.unpersist()
-    return float(np.sqrt(parts["sse"].sum()))
+    """Distributed Eq. 6 over an entries DataFrame: one ``spark_sse`` pass."""
+    bc = entries.sparkSession.sparkContext.broadcast((core, factors, None))
+    try:
+        return float(np.sqrt(ptucker.spark_sse(entries, bc, len(shape))))
+    finally:
+        bc.unpersist()

@@ -13,7 +13,8 @@ partitions as the unit of parallelism.
 The last mode's tasks also compute the iteration's reconstruction error
 (and, for Approx, R(β)) on their freshly updated rows, so an iteration
 is exactly N Spark actions. ``spark_sse``/``spark_rerror`` are the same
-reductions as stand-alone passes over any view.
+reductions as stand-alone passes over any view; ``spark_sse`` is also the
+distributed error of ``metrics.spark_reconstruction_error``.
 """
 from __future__ import annotations
 

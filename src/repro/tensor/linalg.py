@@ -54,6 +54,8 @@ def init_factors(
     """Random-uniform(0,1) initialization of factors and core (Alg. 2 line 1)."""
     if len(shape) != len(ranks):
         raise ValueError("shape and ranks must have the same order")
+    if any(j > i for i, j in zip(shape, ranks)):
+        raise ValueError(f"ranks {tuple(ranks)} exceed the shape {tuple(shape)}")
     g = np.random.default_rng(seed)
     factors = [g.random((i, j)) for i, j in zip(shape, ranks)]
     core = g.random(ranks)

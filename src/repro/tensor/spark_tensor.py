@@ -53,10 +53,15 @@ class ModePartitionedTensor:
                 StorageLevel.MEMORY_AND_DISK
             )
             self._views.append(v)
-        # Materialize and record |Omega| once.
-        self.nnz = self._views[0].count()
-        for v in self._views[1:]:
-            v.count()
+        # Materialize and record |Omega| once; a failing count (e.g. an
+        # index that does not cast to long) leaves nothing persisted.
+        try:
+            self.nnz = self._views[0].count()
+            for v in self._views[1:]:
+                v.count()
+        except BaseException:
+            self.unpersist()
+            raise
 
     def view(self, mode: int) -> DataFrame:
         """The persisted entries view hash-partitioned by mode ``mode``."""

@@ -169,6 +169,28 @@ def test_config_validation():
         PTuckerConfig(ranks=(0, 2))
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(lam=0.0), "lam"),
+        (dict(lam=-1.0), "lam"),
+        (dict(max_iters=0), "max_iters"),
+        (dict(tol=-1e-4), "tol"),
+    ],
+    ids=["lam=0", "lam<0", "max_iters=0", "tol<0"],
+)
+def test_config_rejects_out_of_range(kw, match):
+    with pytest.raises(ValueError, match=match):
+        PTuckerConfig(ranks=(2, 2), **kw)
+
+
+def test_rank_above_dimension_rejected():
+    """ranks=(8,3,3) on I_1=5 used to return a (5,3,3) core silently."""
+    t = sparse_tensor_uniform(shape=(5, 5, 5), nnz=40, seed=0)
+    with pytest.raises(ValueError, match="exceed"):
+        reference.factorize(t, PTuckerConfig(ranks=(8, 3, 3), max_iters=2))
+
+
 def test_fit_metric_consistency(planted, planted_result):
     f1 = planted_result.fit(planted.norm())
     f2 = fit(planted, planted_result.core, planted_result.factors)

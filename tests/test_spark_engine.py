@@ -320,3 +320,29 @@ def test_failed_pass_releases_persisted_data(spark, variant):
     with pytest.raises((IndexError, PythonException), match="out of bounds"):
         ptucker.factorize(spark, df, t.shape, cfg)
     assert persistent().size() == before
+
+
+def test_failed_view_count_releases_persisted_data(spark, monkeypatch):
+    """An index that does not cast to long fails the views' ``count()``
+    under ANSI mode; none of the views stays persisted."""
+    df = spark.createDataFrame(
+        [("x", 0, 0, 1.0), ("1", 1, 1, 2.0)],
+        "i0 string, i1 long, i2 long, val double",
+    )
+    views = []
+    cls = type(df)
+    persist = cls.persist
+    monkeypatch.setattr(
+        cls, "persist", lambda v, *a: views.append(v) or persist(v, *a)
+    )
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    with pytest.raises(Exception, match="CAST_INVALID_INPUT"):
+        ModePartitionedTensor(df, (2, 2, 2), partitions=2)
+    assert persistent().size() == before
+    # The count fails before any cached block is built, so the views'
+    # entries in the cache manager are what would leak.
+    assert len(views) == 3
+    assert not any(
+        v.storageLevel.useMemory or v.storageLevel.useDisk for v in views
+    )
