@@ -43,7 +43,7 @@ from repro.core.ptucker import (  # noqa: F401 - perfbench patches cache.spark_s
     spark_sse,
     split_records,
 )
-from repro.core.row_update import sse_partial, update_rows
+from repro.core.row_update import update_rows
 from repro.tensor.linalg import init_factors, qr_orthogonalize
 from repro.tensor.spark_tensor import ModePartitionedTensor, entry_columns
 
@@ -96,11 +96,10 @@ def _mode_pass(
             pres = delta_mod.compute_pres(core, factors, idx)
         upd = update_rows(idx, vals, core, factors, mode, lam, pres=pres)
         yield records(schema, len(upd.indices), i=upd.indices, row=list(upd.rows))
-        local = local_factors(factors, mode, upd)
         if last:
-            sse, _ = sse_partial(idx, vals, core, local)
-            yield records(schema, 1, sse=[sse])
+            yield records(schema, 1, sse=[upd.sse(vals)])
             return
+        local = local_factors(factors, mode, upd)
         pres = delta_mod.rescale_pres(pres, core, local, factors[mode], idx, mode)
         entries = {c: idx[:, k] for k, c in enumerate(entry_columns(order))}
         yield records(schema, len(vals), **entries, val=vals, pres=list(pres))

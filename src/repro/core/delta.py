@@ -21,7 +21,9 @@ import numpy as np
 _SCRATCH_ELEMS = 4_000_000
 
 
-def _chunk_size(core_shape: tuple[int, ...], mode: int) -> int:
+def chunk_rows(core_shape: tuple[int, ...], mode: int) -> int:
+    """Entries per chunk so that an E_chunk × |G|/J_mode scratch stays
+    within ``_SCRATCH_ELEMS``."""
     rest = int(np.prod(core_shape)) // core_shape[mode]
     return max(1, _SCRATCH_ELEMS // max(1, rest))
 
@@ -63,9 +65,11 @@ def delta_dense(
     """
     n_modes = core.ndim
     order = [k for k in range(n_modes) if k != mode]
-    moved = np.moveaxis(core, mode, -1)  # axes: order..., mode(last)
+    # axes: order..., mode(last). Contiguous, or einsum runs the mode-0
+    # contraction over a strided view ~3x slower than the other modes.
+    moved = np.ascontiguousarray(np.moveaxis(core, mode, -1))
     out = np.empty((len(idx), core.shape[mode]), dtype=np.float64)
-    chunk = _chunk_size(core.shape, mode)
+    chunk = chunk_rows(core.shape, mode)
     for s in range(0, len(idx), chunk):
         e = slice(s, min(s + chunk, len(idx)))
         t = np.einsum(

@@ -11,10 +11,11 @@ mode — mirroring the paper's thread-parallel row distribution with Spark
 partitions as the unit of parallelism.
 
 The last mode's tasks also compute the iteration's reconstruction error
-(and, for Approx, R(β)) on their freshly updated rows, so an iteration
-is exactly N Spark actions. ``spark_sse``/``spark_rerror`` are the same
-reductions as stand-alone passes over any view; ``spark_sse`` is also the
-distributed error of ``metrics.spark_reconstruction_error``.
+(from the row update's own δ, X̂_α = δ_α·a_new) and, for Approx, R(β) on
+their freshly updated rows, so an iteration is exactly N Spark actions.
+``spark_sse``/``spark_rerror`` are the same reductions as stand-alone
+passes over any view; ``spark_sse`` is also the distributed error of
+``metrics.spark_reconstruction_error``.
 """
 from __future__ import annotations
 
@@ -91,10 +92,11 @@ def _mode_update_pass(
     """One mode update as one Spark action over the view partitioned by ``mode``.
 
     Each task solves its rows and emits ``(i, row)`` records. In the last
-    mode it then emits one stats record: its partial SSE (Eq. 6) and, when
-    a COO core is broadcast for it, its partial R(β) (Eq. 14), both on the
-    factors with its new rows written in. Empty partitions emit nothing,
-    which the driver's sums count as zero.
+    mode it then emits one stats record: its partial SSE (Eq. 6), from the
+    predictions the row update returns, and, when a COO core is broadcast
+    for it, its partial R(β) (Eq. 14) on the factors with its new rows
+    written in. Empty partitions emit nothing, which the driver's sums
+    count as zero.
     """
     last = mode == order - 1
 
@@ -111,12 +113,11 @@ def _mode_update_pass(
         )
         if not last:
             return
-        local = local_factors(factors, mode, upd)
-        sse, _ = sse_partial(idx, vals, core, local, core_coo=core_coo)
         r = None
         if rerror_core is not None:
+            local = local_factors(factors, mode, upd)
             r = rerror_partial(idx, vals, *rerror_core, core.shape, local)
-        yield records(_PASS_SCHEMA, 1, sse=[sse], r=[r])
+        yield records(_PASS_SCHEMA, 1, sse=[upd.sse(vals)], r=[r])
 
     return view.mapInPandas(run, schema=_PASS_SCHEMA).toPandas()
 

@@ -19,7 +19,7 @@ from repro.core.approx import (
     use_sparse_core,
 )
 from repro.core.config import PTuckerConfig, PTuckerResult, converged
-from repro.core.row_update import rerror_partial, sse_partial, update_rows
+from repro.core.row_update import rerror_partial, update_rows
 from repro.tensor.coo import CooTensor
 from repro.tensor.linalg import init_factors, qr_orthogonalize
 
@@ -71,9 +71,9 @@ def factorize(tensor: CooTensor, cfg: PTuckerConfig) -> PTuckerResult:
             factors[n] = new
             if cfg.variant == "cache":
                 pres = delta_mod.rescale_pres(pres, core, factors, old, idx, n)
-        # Reconstruction error (Eq. 6) over observed entries.
-        sse, _ = sse_partial(idx, vals, core, factors, core_coo=core_coo)
-        result.errors.append(float(np.sqrt(sse)))
+        # Reconstruction error (Eq. 6) over observed entries, from the last
+        # mode's predictions, as the Spark engines take it.
+        result.errors.append(float(np.sqrt(upd.sse(vals))))
         if cfg.variant == "approx":
             rerr = rerror_partial(
                 idx, vals, core_idx, core_vals, cfg.ranks, factors

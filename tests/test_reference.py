@@ -113,6 +113,24 @@ def test_approx_truncates_core(planted):
     assert all(hist[i + 1] < hist[i] for i in range(len(hist) - 1))
 
 
+def test_loop_makes_no_prediction_pass(planted, monkeypatch):
+    """The error comes from the last row update's ``pred`` and R(β) from
+    its own products, so no δ prediction pass runs, dense or COO."""
+    from repro.core import delta
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a second prediction pass ran")
+
+    monkeypatch.setattr(delta, "predictions", boom)
+    monkeypatch.setattr(delta, "predictions_sparse_core", boom)
+    cfg = PTuckerConfig(
+        ranks=(3, 3, 3), max_iters=9, tol=0.0, seed=0, variant="approx"
+    )
+    res = reference.factorize(planted, cfg)
+    assert len(res.errors) == 9
+    assert res.core_nnz_history[-2] < 0.25 * 27  # the COO kernels ran
+
+
 def test_approx_first_iteration_matches_default(planted):
     """Before any truncation the approx path must follow the default."""
     kw = dict(ranks=(3, 3, 3), max_iters=1, tol=0.0, seed=0)

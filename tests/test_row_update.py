@@ -133,6 +133,36 @@ def test_update_rows_empty_batch():
     )
     assert len(upd.indices) == 0
     assert upd.rows.shape == (0, core.shape[0])
+    assert upd.pred.shape == (0,)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("path", ["dense", "coo", "pres"])
+def test_update_rows_pred_matches_predictions(order, path):
+    """``pred`` is Eq. 5 on the factors with the new rows written in, in
+    input order, whichever δ path built it."""
+    core, factors, idx, vals = _setup(
+        order=order, seed=20 + order, n_entries=80, rank=2, dim=4
+    )
+    perm = np.random.default_rng(order).permutation(len(vals))
+    idx, vals = idx[perm], vals[perm]  # not sorted by any mode
+    c_idx, c_vals = full_core_coo(core)
+    keep = np.arange(len(c_vals)) % 3 != 0  # a truncated COO core
+    c_idx, c_vals = c_idx[keep], c_vals[keep]
+    core_t = np.zeros_like(core)
+    core_t[tuple(c_idx.T)] = c_vals
+    kw = {
+        "dense": {},
+        "coo": {"core_coo": (c_idx, c_vals)},
+        "pres": {"pres": dm.compute_pres(core_t, factors, idx)},
+    }[path]
+    for mode in range(order):
+        upd = update_rows(idx, vals, core_t, factors, mode, 0.01, **kw)
+        new = [f.copy() for f in factors]
+        new[mode][upd.indices] = upd.rows
+        np.testing.assert_allclose(
+            upd.pred, dm.predictions(core_t, new, idx), rtol=1e-12, atol=1e-12
+        )
 
 
 def test_sse_partial_matches_manual():
@@ -179,6 +209,30 @@ def test_rerror_partial_matches_eq14_definition():
     """Our simplified R(β) must equal the literal difference-of-errors."""
     core, factors, idx, vals = _setup(seed=9, n_entries=15, rank=2, dim=4)
     c_idx, c_vals = full_core_coo(core)
+    got = rerror_partial(idx, vals, c_idx, c_vals, core.shape, factors)
+    want = _rerror_bruteforce(idx, vals, c_idx, c_vals, core.shape, factors)
+    np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_rerror_partial_truncated_core_empty_slice():
+    """Eq. 14 on a truncated core in which a whole mode-0 slice and part
+    of the last mode are gone: zeros of the core must not leak into R(β)."""
+    core, factors, idx, vals = _setup(seed=11, n_entries=15, rank=3, dim=4)
+    c_idx, c_vals = full_core_coo(core)
+    keep = (c_idx[:, 0] != 1) & ((c_idx[:, 2] != 2) | (c_idx[:, 1] == 0))
+    c_idx, c_vals = c_idx[keep], c_vals[keep]
+    got = rerror_partial(idx, vals, c_idx, c_vals, core.shape, factors)
+    want = _rerror_bruteforce(idx, vals, c_idx, c_vals, core.shape, factors)
+    np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_rerror_partial_chunking_consistency(monkeypatch):
+    """R(β) across entry-chunk boundaries still matches Eq. 14 literally."""
+    core, factors, idx, vals = _setup(seed=12, n_entries=57, rank=3, dim=5)
+    c_idx, c_vals = full_core_coo(core)
+    c_idx, c_vals = c_idx[::2], c_vals[::2]
+    monkeypatch.setattr(dm, "_SCRATCH_ELEMS", 4 * 9)  # 4-entry chunks
+    assert dm.chunk_rows(core.shape, 2) < len(vals)
     got = rerror_partial(idx, vals, c_idx, c_vals, core.shape, factors)
     want = _rerror_bruteforce(idx, vals, c_idx, c_vals, core.shape, factors)
     np.testing.assert_allclose(got, want, atol=1e-8)
