@@ -1,11 +1,12 @@
-"""Shared SparkSession bootstrap for the spark-submit job entrypoints.
+"""Shared SparkSession bootstrap for the job entrypoints and the test suite.
 
-Mirrors conftest.py's settings so results from jobs and pytest agree —
-including the driver-memory derivation: ``spark.driver.memory`` is read
-at JVM launch, so PYSPARK_SUBMIT_ARGS must be set before the first
-``getOrCreate()`` (running these scripts with plain ``python`` launches
-the JVM lazily at that point). Without this, the driver runs with the
-1 GB default and dies on the larger sweeps.
+``conftest.py`` imports this module too, so results from jobs and pytest
+run with the same settings — including the driver-memory derivation:
+``spark.driver.memory`` is read at JVM launch, so PYSPARK_SUBMIT_ARGS
+must be set before the first ``getOrCreate()`` (running these scripts
+with plain ``python`` launches the JVM lazily at that point), which is
+why the environment is set when this module is imported. Without this,
+the Spark driver runs with the 1 GB default and dies on the larger sweeps.
 """
 from __future__ import annotations
 
@@ -14,7 +15,17 @@ import sys
 
 
 def _driver_mem() -> str:
-    """~75% of the container memory limit (same policy as conftest.py)."""
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. Where the value came from is left in
+    ``_SPARK_DRIVER_MEM_SRC`` (unset for the env override).
+
+    The cgroup read is best-effort: some container runtimes' sysfs
+    emulation does not pass the host limit through. An unbounded value
+    (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit) is
+    treated as absent so the JVM is never handed an impossible heap.
+    """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -26,16 +37,19 @@ def _driver_mem() -> str:
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
                 continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-# Workers run the driver's interpreter and NumPy, as under pytest.
+# Workers run the Spark driver's interpreter (and so its NumPy), which the 1e-9
+# Spark == reference checks assume; read when the first worker starts.
 os.environ.setdefault("PYSPARK_PYTHON", sys.executable)
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -50,7 +64,12 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 
 def get_session(app: str) -> SparkSession:
-    """Create (or reuse) the local session with the reproduction's config."""
+    """Create (or reuse) the local session with the reproduction's config.
+
+    Per-session configs that *are* honoured after the JVM launch are set
+    here. Broadcast joins are disabled so that joins exercise the shuffle
+    path; a query that wants a broadcast join sets the threshold back.
+    """
     s = (
         SparkSession.builder.appName(app)
         .config(

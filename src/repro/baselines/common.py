@@ -22,13 +22,12 @@ of thrashing this container (see DESIGN.md substitutions).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.tensor.spark_tensor import entry_columns
+from repro.core.delta import full_product_block
+from repro.tensor.spark_tensor import run_pass
 
 
 class SimulatedOOM(MemoryError):
@@ -113,20 +112,6 @@ def leading_left_factor_from_gram(
     return v[:, order], inv_sigma
 
 
-def collect_partition_arrays(
-    pdfs: Iterator[pd.DataFrame], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a partition's Arrow batches into (idx, vals) arrays."""
-    frames = list(pdfs)
-    if not frames:
-        return np.zeros((0, order), np.int64), np.zeros(0, np.float64)
-    pdf = pd.concat(frames, ignore_index=True)
-    idx = np.stack(
-        [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-    )
-    return idx, pdf["val"].to_numpy(np.float64)
-
-
 def spark_core_update(
     view: DataFrame, factors: list[np.ndarray], ranks: tuple[int, ...]
 ) -> np.ndarray:
@@ -135,35 +120,26 @@ def spark_core_update(
     Each partition accumulates Σ val · ⊗_n A^(n)[i_n] into a local J^N
     array (C-order: mode N-1 fastest); partials are summed on the driver.
     """
-    order = len(ranks)
-    sc = view.sparkSession.sparkContext
-    bc = sc.broadcast(factors)
+    k_total = int(np.prod(ranks))
+    chunk = max(1, 4_000_000 // k_total)
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
-        f = bc.value
-        k_total = int(np.prod([a.shape[1] for a in f]))
+    def task(f, idx, vals, batch):
         acc = np.zeros(k_total, dtype=np.float64)
-        chunk = max(1, 4_000_000 // max(1, k_total))
         for s in range(0, len(vals), chunk):
             e = slice(s, min(s + chunk, len(vals)))
-            block = None
-            for k in range(order):  # C-order: later modes vary fastest
-                rows_k = f[k][idx[e, k]]
-                if block is None:
-                    block = rows_k
-                else:
-                    block = (block[:, :, None] * rows_k[:, None, :]).reshape(
-                        len(rows_k), -1
-                    )
+            block = full_product_block(f, idx[e], ranks)
             acc += (vals[e, None] * block).sum(axis=0)
         yield pd.DataFrame({"g": [acc]})
 
-    parts = view.mapInPandas(run, schema="g array<double>").toPandas()
-    bc.unpersist()
-    if not len(parts):
-        return np.zeros(ranks)
-    return np.sum(np.stack(parts["g"].to_numpy()), axis=0).reshape(ranks)
+    parts = run_pass(view, factors, task, "g array<double>")
+    return sum_parts(parts["g"], k_total).reshape(ranks)
+
+
+def sum_parts(col: pd.Series, size: int) -> np.ndarray:
+    """Driver-side sum of per-partition array partials (zeros if none)."""
+    if not len(col):
+        return np.zeros(size)
+    return np.sum(np.stack(col.to_numpy()), axis=0)
 
 
 def hooi_family_loop(

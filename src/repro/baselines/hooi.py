@@ -22,7 +22,7 @@ from repro.baselines.common import (
     rest_modes,
 )
 from repro.baselines.tucker_csf import _materialized_pass
-from repro.tensor.spark_tensor import ModePartitionedTensor
+from repro.tensor.spark_tensor import ModePartitionedTensor, assemble_factor
 
 
 def factorize_hooi(
@@ -48,14 +48,8 @@ def factorize_hooi(
             shape[n] * k_cols * 8, mem_budget, f"dense Y_({n}) matricization"
         )
         # Identity projection: collect the raw Y rows to the driver.
-        collected = _materialized_pass(
-            mpt.view(n), factors, n, order, np.eye(k_cols)
-        )
-        y = np.zeros((shape[n], k_cols))
-        if len(collected):
-            y[collected["i"].to_numpy(np.int64)] = np.stack(
-                collected["row"].to_numpy()
-            )
+        collected = _materialized_pass(mpt.view(n), factors, n, np.eye(k_cols))
+        y = assemble_factor(collected, shape[n], k_cols)
         u, _, _ = np.linalg.svd(y, full_matrices=False)
         out = u[:, : ranks[n]]
         if out.shape[1] < ranks[n]:  # K < J_n: pad with zero columns

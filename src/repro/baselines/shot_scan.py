@@ -14,111 +14,78 @@ its poor accuracy on sparse data (Fig. 11).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.common import (
-    collect_partition_arrays,
     ensure_budget,
     hooi_family_loop,
     kron_block,
     leading_left_factor_from_gram,
     rest_modes,
+    sum_parts,
 )
-from repro.tensor.spark_tensor import ModePartitionedTensor
+from repro.tensor.spark_tensor import (
+    ModePartitionedTensor,
+    assemble_factor,
+    run_pass,
+)
 
 _SCAN_ROWS = 256
 
 
-def _sorted_groups(idx: np.ndarray, mode: int):
-    """Sort a partition's entries by mode index; return sorted arrays and
-    per-row-group boundaries."""
-    order = np.argsort(idx[:, mode], kind="stable")
-    s_idx = idx[order]
+def _scan_windows(idx, vals, factors, mode):
+    """Stream a partition's rows of Y_(mode), ``_SCAN_ROWS`` rows at a time.
+
+    Yields (row ids, dense Y rows) per window; only one window exists at
+    a time.
+    """
+    rest = rest_modes(len(factors), mode)
+    k_cols = int(np.prod([factors[k].shape[1] for k in rest]))
+    perm = np.argsort(idx[:, mode], kind="stable")
+    s_idx, s_vals = idx[perm], vals[perm]
     uniq, starts = np.unique(s_idx[:, mode], return_index=True)
-    return order, s_idx, uniq, starts
+    bounds = np.append(starts, len(s_vals))
+    for rs in range(0, len(uniq), _SCAN_ROWS):
+        re = min(rs + _SCAN_ROWS, len(uniq))
+        lo, hi = bounds[rs], bounds[re]
+        rows = np.zeros((re - rs, k_cols))
+        pos = np.searchsorted(uniq[rs:re], s_idx[lo:hi, mode])
+        block = kron_block(s_idx[lo:hi], factors, rest)
+        np.add.at(rows, pos, s_vals[lo:hi, None] * block)
+        yield uniq[rs:re], rows
 
 
 def _gram_pass(
-    view: DataFrame, factors: list[np.ndarray], mode: int, order: int
+    view: DataFrame, factors: list[np.ndarray], mode: int, k_cols: int
 ) -> np.ndarray:
     """Scan pass 1: accumulate Gram(Y_(mode)) = Σ_rows y yᵀ in row chunks."""
-    sc = view.sparkSession.sparkContext
-    bc = sc.broadcast(factors)
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
-        f = bc.value
-        rest = rest_modes(order, mode)
-        k_cols = int(np.prod([f[k].shape[1] for k in rest]))
+    def task(f, idx, vals, batch):
         gram = np.zeros((k_cols, k_cols), dtype=np.float64)
-        if len(vals):
-            perm, s_idx, uniq, starts = _sorted_groups(idx, mode)
-            s_vals = vals[perm]
-            bounds = np.append(starts, len(s_vals))
-            for rs in range(0, len(uniq), _SCAN_ROWS):
-                re = min(rs + _SCAN_ROWS, len(uniq))
-                lo, hi = bounds[rs], bounds[re]
-                rows = np.zeros((re - rs, k_cols))
-                pos = np.searchsorted(uniq[rs:re], s_idx[lo:hi, mode])
-                block = kron_block(s_idx[lo:hi], f, rest)
-                np.add.at(rows, pos, s_vals[lo:hi, None] * block)
-                gram += rows.T @ rows
+        for _, rows in _scan_windows(idx, vals, f, mode):
+            gram += rows.T @ rows
         yield pd.DataFrame({"g": [gram.ravel()]})
 
-    parts = view.mapInPandas(run, schema="g array<double>").toPandas()
-    bc.unpersist()
-    mats = np.stack(parts["g"].to_numpy())
-    k = int(np.sqrt(mats.shape[1]))
-    return mats.sum(axis=0).reshape(k, k)
+    parts = run_pass(view, factors, task, "g array<double>")
+    return sum_parts(parts["g"], k_cols * k_cols).reshape(k_cols, k_cols)
 
 
 def _rows_pass(
     view: DataFrame,
     factors: list[np.ndarray],
     mode: int,
-    order: int,
     proj: np.ndarray,
 ) -> pd.DataFrame:
     """Scan pass 2: emit factor rows U = Y · proj (proj = V Σ^{-1})."""
-    sc = view.sparkSession.sparkContext
-    bc = sc.broadcast((factors, proj))
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
-        f, p = bc.value
-        rest = rest_modes(order, mode)
-        k_cols = p.shape[0]
-        out_i: list[np.ndarray] = []
-        out_r: list[np.ndarray] = []
-        if len(vals):
-            perm, s_idx, uniq, starts = _sorted_groups(idx, mode)
-            s_vals = vals[perm]
-            bounds = np.append(starts, len(s_vals))
-            for rs in range(0, len(uniq), _SCAN_ROWS):
-                re = min(rs + _SCAN_ROWS, len(uniq))
-                lo, hi = bounds[rs], bounds[re]
-                rows = np.zeros((re - rs, k_cols))
-                pos = np.searchsorted(uniq[rs:re], s_idx[lo:hi, mode])
-                block = kron_block(s_idx[lo:hi], f, rest)
-                np.add.at(rows, pos, s_vals[lo:hi, None] * block)
-                out_i.append(uniq[rs:re])
-                out_r.append(rows @ p)
-        if out_i:
-            yield pd.DataFrame(
-                {
-                    "i": np.concatenate(out_i),
-                    "row": [r for r in np.concatenate(out_r)],
-                }
-            )
-        # empty partition: emit no batch (Arrow cannot type a 0-row list col)
+    def task(state, idx, vals, batch):
+        f, p = state
+        for ids, rows in _scan_windows(idx, vals, f, mode):
+            yield pd.DataFrame({"i": ids, "row": list(rows @ p)})
 
-    res = view.mapInPandas(run, schema="i long, row array<double>").toPandas()
-    bc.unpersist()
-    return res
+    return run_pass(view, (factors, proj), task, "i long, row array<double>")
 
 
 def factorize_shot(
@@ -146,16 +113,11 @@ def factorize_shot(
             mem_budget,
             f"S-HOT scan window for mode {n}",
         )
-        gram = _gram_pass(mpt.view(n), factors, n, order)
+        gram = _gram_pass(mpt.view(n), factors, n, k_cols)
         v, inv_sigma = leading_left_factor_from_gram(gram, ranks[n])
         proj = v * inv_sigma[None, :]
-        collected = _rows_pass(mpt.view(n), factors, n, order, proj)
-        out = np.zeros((shape[n], ranks[n]))
-        if len(collected):
-            out[collected["i"].to_numpy(np.int64)] = np.stack(
-                collected["row"].to_numpy()
-            )
-        return out
+        collected = _rows_pass(mpt.view(n), factors, n, proj)
+        return assemble_factor(collected, shape[n], ranks[n])
 
     try:
         return hooi_family_loop(

@@ -15,61 +15,48 @@ Missing entries are zeros, as in the original (accuracy ✗ in Table I).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.common import (
-    collect_partition_arrays,
     ensure_budget,
     hooi_family_loop,
     leading_left_factor_from_gram,
     local_y_rows,
     rest_modes,
+    sum_parts,
 )
-from repro.tensor.spark_tensor import ModePartitionedTensor
+from repro.tensor.spark_tensor import (
+    ModePartitionedTensor,
+    assemble_factor,
+    run_pass,
+)
 
 
 def _materialized_pass(
     view: DataFrame,
     factors: list[np.ndarray],
     mode: int,
-    order: int,
     proj: np.ndarray | None,
-):
+) -> pd.DataFrame:
     """One sweep materializing local Y rows per partition.
 
     With ``proj`` None, emits the partition's Gram partial; otherwise
     emits the factor rows U = Y · proj.
     """
-    sc = view.sparkSession.sparkContext
-    bc = sc.broadcast((factors, proj))
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
-        f, p = bc.value
-        rest = rest_modes(order, mode)
-        k_cols = int(np.prod([f[k].shape[1] for k in rest]))
-        if len(vals) == 0:
-            if p is None:
-                yield pd.DataFrame({"g": [np.zeros(k_cols * k_cols)]})
-            # rows mode: emit no batch (Arrow cannot type a 0-row list col)
-            return
+    def task(state, idx, vals, batch):
+        f, p = state
         row_ids = np.unique(idx[:, mode])
         y_local = local_y_rows(idx, vals, f, mode, row_ids)
         if p is None:
             yield pd.DataFrame({"g": [(y_local.T @ y_local).ravel()]})
         else:
-            yield pd.DataFrame(
-                {"i": row_ids, "row": [r for r in (y_local @ p)]}
-            )
+            yield pd.DataFrame({"i": row_ids, "row": list(y_local @ p)})
 
     schema = "g array<double>" if proj is None else "i long, row array<double>"
-    res = view.mapInPandas(run, schema=schema).toPandas()
-    bc.unpersist()
-    return res
+    return run_pass(view, (factors, proj), task, schema)
 
 
 def factorize_csf(
@@ -98,23 +85,12 @@ def factorize_csf(
             mem_budget,
             f"Tucker-CSF materialized Y_({n}) rows",
         )
-        g_parts = _materialized_pass(mpt.view(n), factors, n, order, None)
-        gram = (
-            np.sum(np.stack(g_parts["g"].to_numpy()), axis=0).reshape(
-                k_cols, k_cols
-            )
-            if len(g_parts)
-            else np.zeros((k_cols, k_cols))
-        )
+        g_parts = _materialized_pass(mpt.view(n), factors, n, None)
+        gram = sum_parts(g_parts["g"], k_cols * k_cols).reshape(k_cols, k_cols)
         v, inv_sigma = leading_left_factor_from_gram(gram, ranks[n])
         proj = v * inv_sigma[None, :]
-        collected = _materialized_pass(mpt.view(n), factors, n, order, proj)
-        out = np.zeros((shape[n], ranks[n]))
-        if len(collected):
-            out[collected["i"].to_numpy(np.int64)] = np.stack(
-                collected["row"].to_numpy()
-            )
-        return out
+        collected = _materialized_pass(mpt.view(n), factors, n, proj)
+        return assemble_factor(collected, shape[n], ranks[n])
 
     try:
         return hooi_family_loop(

@@ -2,13 +2,18 @@
 
 The sparse tensor lives in Spark as N persisted views, view ``n`` hash-
 partitioned by the mode-n index (``ModePartitionedTensor``). One mode
-update is a single ``mapInPandas`` action over view ``n``: each partition
+update is a single ``map_entries`` action over view ``n``: each partition
 owns complete row groups Ω^(n)_{i_n}, vectorizes the δ/B/c accumulation
 with NumPy, solves the (B+λI) systems for its rows, and emits
 ``(i_n, new_row)``. The driver collects the (small) row table, assembles
 the new A^(n), and broadcasts the refreshed model state for the next
 mode — mirroring the paper's thread-parallel row distribution with Spark
 partitions as the unit of parallelism.
+
+All three variants run the one ALS loop ``_als``, which differs between
+them only in the per-mode step that returns the collected records:
+``_update_passes`` (default and Approx: δ from the broadcast core) or
+``cache.cache_passes`` (δ from the Pres column the entries carry).
 
 The last mode's tasks also compute the iteration's reconstruction error
 (from the row update's own δ, X̂_α = δ_α·a_new) and, for Approx, R(β) on
@@ -20,7 +25,7 @@ passes over any view; ``spark_sse`` is also the distributed error of
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -35,24 +40,13 @@ from repro.core.approx import (
 from repro.core.config import PTuckerConfig, PTuckerResult, converged
 from repro.core.row_update import rerror_partial, sse_partial, update_rows
 from repro.tensor.linalg import init_factors, qr_orthogonalize
-from repro.tensor.spark_tensor import ModePartitionedTensor, entry_columns
+from repro.tensor.spark_tensor import (
+    ModePartitionedTensor,
+    assemble_factor,
+    map_entries,
+)
 
 _PASS_SCHEMA = "i long, row array<double>, sse double, r array<double>"
-_SSE_SCHEMA = "sse double, cnt long"
-
-
-def _collect_idx_vals(
-    pdfs: Iterator[pd.DataFrame], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a partition's Arrow batches into COO arrays."""
-    frames = list(pdfs)
-    if not frames:
-        return np.zeros((0, order), np.int64), np.zeros(0, np.float64)
-    pdf = pd.concat(frames, ignore_index=True)
-    idx = np.stack(
-        [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-    )
-    return idx, pdf["val"].to_numpy(np.float64)
 
 
 def records(schema: str, n: int, **data) -> pd.DataFrame:
@@ -82,29 +76,18 @@ def local_factors(factors: list[np.ndarray], mode: int, upd) -> list[np.ndarray]
     return [a if k == mode else f for k, f in enumerate(factors)]
 
 
-def _mode_update_pass(
-    view: DataFrame,
-    bc,
-    mode: int,
-    lam: float,
-    order: int,
-) -> pd.DataFrame:
-    """One mode update as one Spark action over the view partitioned by ``mode``.
+def _update_task(mode: int, lam: float, last: bool):
+    """The mode-``mode`` update of one partition.
 
-    Each task solves its rows and emits ``(i, row)`` records. In the last
+    The task solves its rows and emits ``(i, row)`` records. In the last
     mode it then emits one stats record: its partial SSE (Eq. 6), from the
     predictions the row update returns, and, when a COO core is broadcast
     for it, its partial R(β) (Eq. 14) on the factors with its new rows
-    written in. Empty partitions emit nothing, which the driver's sums
-    count as zero.
+    written in.
     """
-    last = mode == order - 1
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
-        if len(vals) == 0:
-            return  # empty partition: emit no batch (Arrow cannot type it)
-        core, factors, core_coo, rerror_core = bc.value
+    def task(state, idx, vals, batch):
+        core, factors, core_coo, rerror_core = state
         upd = update_rows(
             idx, vals, core, factors, mode, lam, core_coo=core_coo
         )
@@ -119,34 +102,50 @@ def _mode_update_pass(
             r = rerror_partial(idx, vals, *rerror_core, core.shape, local)
         yield records(_PASS_SCHEMA, 1, sse=[upd.sse(vals)], r=[r])
 
-    return view.mapInPandas(run, schema=_PASS_SCHEMA).toPandas()
+    return task
 
 
-def assemble_factor(
-    collected: pd.DataFrame, dim: int, rank: int
-) -> np.ndarray:
-    """Driver-side assembly of A^(n) from collected (i, row) pairs.
+@contextmanager
+def _update_passes(
+    entries: DataFrame | ModePartitionedTensor,
+    shape: tuple[int, ...],
+    cfg: PTuckerConfig,
+):
+    """The default/Approx step: one action over the view partitioned by ``n``.
 
-    Unobserved rows stay zero, matching Eq. 10 with B = c = 0.
+    A view set built here from a raw DataFrame is released on exit.
     """
-    out = np.zeros((dim, rank), dtype=np.float64)
-    if len(collected):
-        out[collected["i"].to_numpy(np.int64)] = np.stack(
-            collected["row"].to_numpy()
-        )
-    return out
+    owns_mpt = not isinstance(entries, ModePartitionedTensor)
+    mpt = (
+        ModePartitionedTensor(entries, shape, cfg.partitions)
+        if owns_mpt
+        else entries
+    )
+    last = len(shape) - 1
+
+    def step(n: int, bc) -> pd.DataFrame:
+        task = _update_task(n, cfg.lam, n == last)
+        return map_entries(mpt.view(n), bc, task, _PASS_SCHEMA).toPandas()
+
+    try:
+        yield step
+    finally:
+        if owns_mpt:
+            mpt.unpersist()
 
 
 def spark_sse(view: DataFrame, bc, order: int) -> float:
-    """Distributed Eq. 6: Σ (X_α − X̂_α)² over observed entries."""
+    """Distributed Eq. 6: Σ (X_α − X̂_α)² over observed entries.
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
-        core, factors, core_coo = bc.value
-        sse, cnt = sse_partial(idx, vals, core, factors, core_coo=core_coo)
-        yield pd.DataFrame({"sse": [sse], "cnt": [cnt]})
+    ``bc`` broadcasts (core, factors, core_coo); the order is the view's.
+    """
 
-    parts = view.mapInPandas(run, schema=_SSE_SCHEMA).toPandas()
+    def task(state, idx, vals, batch):
+        core, factors, core_coo = state
+        sse, _ = sse_partial(idx, vals, core, factors, core_coo=core_coo)
+        yield pd.DataFrame({"sse": [sse]})
+
+    parts = map_entries(view, bc, task, "sse double").toPandas()
     return float(parts["sse"].sum())
 
 
@@ -158,13 +157,12 @@ def spark_rerror(view: DataFrame, bc_rerror, order: int, ranks) -> np.ndarray:
     are currently using.
     """
 
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
-        factors, c_idx, c_vals = bc_rerror.value
+    def task(state, idx, vals, batch):
+        factors, c_idx, c_vals = state
         r = rerror_partial(idx, vals, c_idx, c_vals, tuple(ranks), factors)
         yield pd.DataFrame({"r": [r]})
 
-    parts = view.mapInPandas(run, schema="r array<double>").toPandas()
+    parts = map_entries(view, bc_rerror, task, "r array<double>").toPandas()
     if not len(parts):
         return np.zeros(0)
     return np.sum(np.stack(parts["r"].to_numpy()), axis=0)
@@ -176,35 +174,27 @@ def factorize(
     shape: tuple[int, ...],
     cfg: PTuckerConfig,
 ) -> PTuckerResult:
-    """Run P-Tucker (default or approx variant) on Spark.
+    """Run P-Tucker (default, cache or approx variant) on Spark.
 
-    The cache variant has its own entry point
-    (:func:`repro.core.cache.factorize_cache`) because the Pres table is a
-    DataFrame column there, not broadcast state. A view set built here from
-    a raw DataFrame is released on every exit, a raising pass included.
+    Whatever a variant persists for the run (a view set built from a raw
+    DataFrame, Cache's Pres-carrying outputs) is released on every exit,
+    a raising pass included.
     """
     if cfg.variant == "cache":
-        from repro.core.cache import factorize_cache
-
-        return factorize_cache(spark, entries, shape, cfg)
-
-    owns_mpt = not isinstance(entries, ModePartitionedTensor)
-    mpt = (
-        ModePartitionedTensor(entries, shape, cfg.partitions)
-        if owns_mpt
-        else entries
-    )
-    try:
-        return _als(spark.sparkContext, mpt, shape, cfg)
-    finally:
-        if owns_mpt:
-            mpt.unpersist()
+        from repro.core.cache import cache_passes as passes
+    else:
+        passes = _update_passes
+    with passes(entries, shape, cfg) as step:
+        return _als(spark.sparkContext, step, shape, cfg)
 
 
-def _als(
-    sc, mpt: ModePartitionedTensor, shape, cfg: PTuckerConfig
-) -> PTuckerResult:
-    """The ALS loop: N single-action mode updates per iteration."""
+def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
+    """The ALS loop: N single-action mode updates per iteration.
+
+    ``step(n, bc)`` runs mode ``n``'s update with the model broadcast as
+    ``bc`` = (core, factors, core_coo, rerror_core) and returns the
+    collected row and stats records.
+    """
     n_modes = len(shape)
     factors, core = init_factors(shape, cfg.ranks, cfg.seed)
 
@@ -234,7 +224,7 @@ def _als(
                 rerror_core = (core_idx, core_vals)
             bc = sc.broadcast((core, factors, coo, rerror_core))
             try:
-                out = _mode_update_pass(mpt.view(n), bc, n, cfg.lam, n_modes)
+                out = step(n, bc)
             finally:
                 bc.unpersist()
             rows, stats = split_records(out)

@@ -7,8 +7,14 @@ partition, so a ``mapInPandas`` pass over copy ``n`` can update its
 owned factor-matrix rows without any cross-partition coordination —
 the Spark analogue of P-Tucker's per-thread row allocation
 (Section III-D of the paper).
+
+Every engine pass over entries goes through ``map_entries`` (one
+``mapInPandas`` that decodes each partition into COO arrays) and, when it
+owns its broadcast, ``run_pass``.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
@@ -72,26 +78,58 @@ class ModePartitionedTensor:
         for v in self._views:
             v.unpersist()
 
-    def observed_index_masks(self) -> list[np.ndarray]:
-        """Boolean mask per mode marking indices with >= 1 observed entry.
 
-        Rows of A^(n) with an empty Ω^(n)_{i_n} are driven to zero by the
-        update rule (B=0, c=0 ⇒ row←0); the engines apply that explicitly
-        since the partitioned pass only ever emits observed rows.
-        """
-        masks = []
-        for n in range(self.order):
-            seen = (
-                self._views[n]
-                .select(f"i{n}")
-                .distinct()
-                .toPandas()[f"i{n}"]
-                .to_numpy(np.int64)
-            )
-            m = np.zeros(self.shape[n], dtype=bool)
-            m[seen] = True
-            masks.append(m)
-        return masks
+def map_entries(view: DataFrame, bc, task, schema: str) -> DataFrame:
+    """A lazy pass running ``task`` once per non-empty partition of ``view``.
+
+    The partition's Arrow batches are concatenated and decoded once into
+    ``idx`` (E×N int64, from the index columns ``i0..``) and ``vals``;
+    ``task(bc.value, idx, vals, batch)`` then yields the partition's
+    ``schema`` records, and ``batch`` carries any further columns (Cache's
+    ``pres``). An empty partition emits nothing, since Arrow cannot type a
+    0-row batch, so sums on the Spark driver count it as zero.
+    """
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        frames = [b for b in batches if len(b)]
+        if not frames:
+            return
+        batch = pd.concat(frames, ignore_index=True)
+        order = sum(c[:1] == "i" and c[1:].isdigit() for c in batch.columns)
+        idx = np.stack(
+            [batch[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
+        )
+        yield from task(bc.value, idx, batch["val"].to_numpy(np.float64), batch)
+
+    return view.mapInPandas(run, schema=schema)
+
+
+def run_pass(view: DataFrame, state, task, schema: str) -> pd.DataFrame:
+    """Broadcast ``state``, collect ``map_entries`` of ``task``, release.
+
+    The broadcast is unpersisted in ``finally``, so a raising task leaks
+    nothing.
+    """
+    bc = view.sparkSession.sparkContext.broadcast(state)
+    try:
+        return map_entries(view, bc, task, schema).toPandas()
+    finally:
+        bc.unpersist()
+
+
+def assemble_factor(
+    collected: pd.DataFrame, dim: int, rank: int
+) -> np.ndarray:
+    """Driver-side assembly of a dim×rank factor from collected (i, row) pairs.
+
+    Unobserved rows stay zero, matching Eq. 10 with B = c = 0.
+    """
+    out = np.zeros((dim, rank), dtype=np.float64)
+    if len(collected):
+        out[collected["i"].to_numpy(np.int64)] = np.stack(
+            collected["row"].to_numpy()
+        )
+    return out
 
 
 def spark_entries_from_coo(

@@ -220,3 +220,35 @@ def test_wopt_recon_error_matches_metric(tensor):
     res = factorize_wopt(tensor, (3, 3, 3), max_iters=3, tol=0.0, seed=0)
     err = reconstruction_error(tensor, res.core, res.factors)
     assert err == pytest.approx(res.errors[-1], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "factorize", [factorize_shot, factorize_csf, factorize_hooi]
+)
+def test_failed_baseline_pass_releases_broadcasts(spark, monkeypatch, factorize):
+    """An index ≥ I_1 makes the first pass's tasks raise; every broadcast
+    the run made is unpersisted anyway."""
+    from pyspark import Broadcast
+    from pyspark.errors import PythonException
+
+    from repro.tensor.spark_tensor import spark_entries_from_coo
+
+    made, released = [], []
+    sc_cls = type(spark.sparkContext)
+    broadcast, unpersist = sc_cls.broadcast, Broadcast.unpersist
+    monkeypatch.setattr(
+        sc_cls, "broadcast", lambda sc, v: made.append(broadcast(sc, v)) or made[-1]
+    )
+    monkeypatch.setattr(
+        Broadcast,
+        "unpersist",
+        lambda b, *a, **k: released.append(b) or unpersist(b, *a, **k),
+    )
+    t = lowrank_tensor(shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, seed=7)
+    idx = t.idx.copy()
+    idx[0, 1] = t.shape[1]
+    df = spark_entries_from_coo(spark, idx, t.vals)
+    with pytest.raises(PythonException, match="out of bounds"):
+        factorize(spark, df, t.shape, (2, 2, 2), max_iters=1)
+    assert made
+    assert {id(b) for b in released} == {id(b) for b in made}

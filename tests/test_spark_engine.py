@@ -18,6 +18,7 @@ from repro.synth_data import lowrank_tensor
 from repro.tensor.linalg import init_factors
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
+    map_entries,
     spark_entries_from_coo,
 )
 
@@ -68,12 +69,39 @@ def test_mpt_partitioning_groups_rows(spark, tensor, mpt):
     assert owners["i"].is_unique
 
 
-def test_mpt_observed_index_masks(spark, tensor, mpt):
-    masks = mpt.observed_index_masks()
-    for n in range(3):
-        want = np.zeros(tensor.shape[n], bool)
-        want[np.unique(tensor.idx[:, n])] = True
-        np.testing.assert_array_equal(masks[n], want)
+def test_map_entries_runs_only_on_non_empty_partitions(spark):
+    """3 distinct keys on 8 partitions: ``task`` sees only non-empty
+    partitions, decoded into (idx, vals), with the extra ``pres`` column."""
+    from pyspark.sql import functions as F
+
+    pdf = pd.DataFrame(
+        {
+            "i0": [0, 1, 2, 0, 1, 2, 2],
+            "i1": [5, 6, 7, 8, 9, 10, 11],
+            "val": np.arange(7.0),
+            "pres": [[float(k), 1.0] for k in range(7)],
+        }
+    )
+    df = spark.createDataFrame(pdf).repartition(8, "i0")
+    non_empty = df.select(F.spark_partition_id()).distinct().count()
+    bc = spark.sparkContext.broadcast(10.0)
+
+    def task(state, idx, vals, batch):
+        pres = np.stack(batch["pres"].to_numpy())
+        np.testing.assert_array_equal(pres[:, 0], vals)
+        np.testing.assert_array_equal(idx[:, 1] - 5, vals)
+        yield pd.DataFrame(
+            {"n": [len(vals)], "order": [idx.shape[1]], "s": [state * pres.sum()]}
+        )
+
+    try:
+        out = map_entries(df, bc, task, "n long, order long, s double").toPandas()
+    finally:
+        bc.unpersist()
+    assert len(out) == non_empty < 8
+    assert (out["n"] > 0).all() and out["n"].sum() == 7
+    assert (out["order"] == 2).all()
+    assert out["s"].sum() == pytest.approx(10.0 * (21.0 + 7.0))
 
 
 def test_spark_matches_reference_default(spark, tensor, mpt):

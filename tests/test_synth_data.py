@@ -1,67 +1,8 @@
-"""Tests for the synthetic-data generators (provided + tensor extensions)."""
+"""Tests for the synthetic sparse-tensor generators."""
 import numpy as np
 import pytest
 
 from repro import synth_data as sd
-
-
-# ---- provided TPC-H-lite generators, exercised through the oracle ----
-
-
-def test_lineitem_schema_and_scale(spark):
-    df = sd.lineitem(spark, sf=0.001)
-    assert df.count() == 6000
-    assert "l_orderkey" in df.columns and "l_extendedprice" in df.columns
-
-
-def test_lineitem_deterministic(spark):
-    a = sd.lineitem(spark, sf=0.0005, seed=3).toPandas()
-    b = sd.lineitem(spark, sf=0.0005, seed=3).toPandas()
-    assert a.equals(b)
-
-
-def test_orders_join_oracle(spark):
-    """Query-result check: an orders/lineitem join aggregate vs DuckDB."""
-    from pyspark.sql import functions as F
-
-    from repro.oracle import assert_equivalent
-
-    li = sd.lineitem(spark, sf=0.001)
-    o = sd.orders(spark, sf=0.001)
-    out = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.round(F.sum("l_quantity"), 3).alias("qty"))
-    )
-    assert_equivalent(
-        out,
-        """
-        SELECT o_orderpriority, ROUND(SUM(l_quantity), 3) AS qty
-        FROM li JOIN o ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
-        """,
-        li=li,
-        o=o,
-    )
-
-
-def test_customer_part_counts(spark):
-    assert sd.customer(spark, sf=0.001).count() == 150
-    assert sd.part(spark, sf=0.001).count() == 200
-
-
-def test_zipf_keys_skew(spark):
-    df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > counts.iloc[-1] * 5  # heavy head
-
-
-def test_uniform_keys_range(spark):
-    pdf = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-    assert pdf["k"].between(1, 50).all()
-
-
-# ---- tensor generators ----
 
 
 @pytest.mark.parametrize("shape", [(10, 10, 10), (8, 6, 4, 3)])
