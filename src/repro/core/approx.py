@@ -10,11 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-# Below this fill fraction the COO δ path (cost ∝ N·|G|) beats the dense
-# einsum chain (cost ∝ J^N regardless of zeros); above it, the engines
-# keep using the dense kernel on the zero-filled core — identical results
-# (tested), better constants.
-SPARSE_CORE_THRESHOLD = 0.25
+# Below this fill |G|/Π J the COO δ kernel (cost ∝ E·N·|G|) beats the
+# dense one on the zero-filled core (a GEMM, then one contraction per
+# further mode; cost ∝ E·Π J whatever the zeros); above it the engines run
+# the dense kernel on the zero-filled core — identical results (tested).
+# Serial ms per mode-0 δ call at J=10, COO / dense, from
+# benchmarks/test_bench_delta.py (median of 3 runs of 15 rounds each,
+# 4-core Xeon host):
+#
+#   fill    N=4, E=2600   N=4, E=3400   N=3, E=25000
+#   21%     168 / 9.6     205 / 6.7     134 / 7.9
+#   5.5%     34 / 6.8      49 / 6.6      23 / 6.6
+#   2.3%    9.9 / 6.8      17 / 6.2      12 / 7.6
+#   1.8%     10 / 7.2      13 / 6.8     9.3 / 7.5
+#   1.5%    8.9 / 9.7      12 / 6.7     8.5 / 6.8
+#   1.2%    6.5 / 9.9     9.1 / 6.7     6.3 / 7.2
+#   1.0%    6.0 / 5.1     7.6 / 6.8     5.6 / 7.0
+#   0.7%    4.2 / 6.4     5.8 / 7.2     5.6 / 9.8
+#
+# The kernels cross at ≈1-1.2% fill; below 1% COO wins in every column.
+# A core of |G| ≤ 100 cells (e.g. J=3, N=3) never gets there with an entry
+# left, so it always runs dense.
+SPARSE_CORE_THRESHOLD = 0.01
 
 
 def use_sparse_core(n_coo: int, core_size: int) -> bool:

@@ -5,10 +5,14 @@ For an observed entry α = (i_1, ..., i_N) and mode n,
 a length-J_n vector. Batched over E entries this is the dominant cost of
 P-Tucker (Theorem 3), so three vectorized paths are provided:
 
-* ``delta_dense``  — stepwise einsum over a dense core; peak scratch is
-  E_chunk × J^{N-1} (chunked), matching the default P-Tucker variant.
+* ``delta_dense``  — stepwise contraction of a dense core: one GEMM for
+  the first other mode, then one einsum per further mode; peak scratch is
+  E_chunk × J^{N-1} (chunked). The default P-Tucker variant, and Approx
+  on its zero-filled core until the fill drops below
+  ``approx.SPARSE_CORE_THRESHOLD``.
 * ``delta_sparse`` — COO loop over core non-zeros for the truncated core
-  of P-Tucker-Approx; cost scales with |G| as in Theorem 7.
+  of P-Tucker-Approx; cost scales with |G| as in Theorem 7, but with
+  E × |G| scratch and larger constants, so it wins only at ≈1% fill.
 * ``delta_from_pres`` — P-Tucker-Cache's divide-out of the memoized
   per-(entry, core-entry) products (Algorithm 3 line 12), with the
   paper's fallback to a fresh product where the old factor value is ~0.
@@ -17,8 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Cap on elements of the einsum scratch (E_chunk * J^{N-1} doubles).
-_SCRATCH_ELEMS = 4_000_000
+# Cap on elements of one scratch array (E_chunk * J^{N-1} doubles, 4 MiB).
+# Small enough that glibc serves each chunk from freed heap and a Spark
+# worker's peak RSS is its live set: with 32 MB chunks the free heap that
+# glibc keeps between tasks, and so the peak, depended on which tasks a
+# worker had run before (benchmark movielens-approx, 4-core host, Spark
+# local[4]: 179-196 MiB across seeds, 131-133 MiB with this cap). GEMM and
+# einsum run no slower on the shorter chunks.
+_SCRATCH_ELEMS = 1 << 19
 
 
 def chunk_rows(core_shape: tuple[int, ...], mode: int) -> int:
@@ -65,15 +75,16 @@ def delta_dense(
     """
     n_modes = core.ndim
     order = [k for k in range(n_modes) if k != mode]
-    # axes: order..., mode(last). Contiguous, or einsum runs the mode-0
-    # contraction over a strided view ~3x slower than the other modes.
+    # axes: order..., mode(last). Contiguous, so the first contraction is
+    # one GEMM against a (J_first, |G|/J_first) view of it.
     moved = np.ascontiguousarray(np.moveaxis(core, mode, -1))
+    first = moved.reshape(core.shape[order[0]], -1)
     out = np.empty((len(idx), core.shape[mode]), dtype=np.float64)
     chunk = chunk_rows(core.shape, mode)
     for s in range(0, len(idx), chunk):
         e = slice(s, min(s + chunk, len(idx)))
-        t = np.einsum(
-            "a...,ea->e...", moved, factors[order[0]][idx[e, order[0]]]
+        t = (factors[order[0]][idx[e, order[0]]] @ first).reshape(
+            -1, *moved.shape[1:]
         )
         for k in order[1:]:
             t = np.einsum("ea...,ea->e...", t, factors[k][idx[e, k]])

@@ -59,6 +59,29 @@ def accumulate_b_c(
     return b, c
 
 
+def check_entries(
+    idx: np.ndarray, vals: np.ndarray, factors: list[np.ndarray]
+) -> None:
+    """Raise ``ValueError`` on an index outside its factor's rows or a
+    non-finite value.
+
+    NumPy's fancy indexing would read a negative index from the end of a
+    factor, and one NaN would turn every later error into NaN. O(E·N),
+    in the pass every engine already runs.
+    """
+    dims = np.array([f.shape[0] for f in factors])
+    bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= dims)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"mode-{k} index out of bounds: entries span "
+            f"[{idx[:, k].min()}, {idx[:, k].max()}], dimension {dims[k]}"
+        )
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValueError(f"{int((~finite).sum())} non-finite value(s)")
+
+
 def update_rows(
     idx: np.ndarray,
     vals: np.ndarray,
@@ -84,12 +107,14 @@ def update_rows(
 
     The result's ``pred`` costs O(E·J) on top of the update, so the last
     mode's caller gets the iteration's residuals without a second δ.
+    Raises ``ValueError`` on bad entries (``check_entries``).
     """
     if len(vals) == 0:
         j = core.shape[mode]
         return RowUpdateResult(
             np.zeros(0, np.int64), np.zeros((0, j)), np.zeros(0)
         )
+    check_entries(idx, vals, factors)
     order = np.argsort(idx[:, mode], kind="stable")
     s_idx, s_vals = idx[order], vals[order]
     if pres is not None:
@@ -176,6 +201,6 @@ def rerror_partial(
         a = factors[last][idx[e, last]]
         s = np.einsum("ej,ej->e", k @ g_mat, a)  # Eq. 5, current core
         u += k.T @ ((s - vals[e])[:, None] * a)
-        w += (k * k).T @ (a * a)
+        w += np.square(k, out=k).T @ (a * a)  # k is spent: square in place
     u, w = u.ravel()[flat_pos], w.ravel()[flat_pos]
     return 2.0 * core_vals * u - core_vals * core_vals * w

@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from repro.core import delta as dm
-from repro.core.approx import full_core_coo
+from repro.core.approx import (
+    SPARSE_CORE_THRESHOLD,
+    dense_core_from_coo,
+    full_core_coo,
+    use_sparse_core,
+)
 from repro.tensor.ops import reconstruct_dense
 
 
@@ -33,7 +38,7 @@ def _delta_bruteforce(core, factors, idx, mode):
     return out
 
 
-@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode_sel", [0, -1])
 def test_delta_dense_matches_bruteforce(order, mode_sel):
     mode = mode_sel % order
@@ -68,6 +73,25 @@ def test_delta_sparse_truncated_core():
             c_idx, c_vals, core.shape[mode], factors, idx, mode
         )
         want = dm.delta_dense(core_trunc, factors, idx, mode)
+        np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("side", [0.5, 2.0])
+def test_delta_dense_zero_filled_matches_sparse_at_switch(side):
+    """The engines pick a kernel by ``use_sparse_core``; on either side of
+    the switch both kernels give the same δ."""
+    core, factors, idx = _setup(3, seed=12, n_entries=40, rank=10, dim=12)
+    n_keep = round(side * SPARSE_CORE_THRESHOLD * core.size)
+    assert use_sparse_core(n_keep, core.size) == (side < 1)
+    c_idx, c_vals = full_core_coo(core)
+    keep = np.sort(
+        np.random.default_rng(13).choice(core.size, n_keep, replace=False)
+    )
+    c_idx, c_vals = c_idx[keep], c_vals[keep]
+    zero_filled = dense_core_from_coo(c_idx, c_vals, core.shape)
+    for mode in range(3):
+        got = dm.delta_dense(zero_filled, factors, idx, mode)
+        want = dm.delta_sparse(c_idx, c_vals, 10, factors, idx, mode)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 

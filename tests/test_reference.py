@@ -3,10 +3,16 @@ import numpy as np
 import pytest
 
 from repro.core import reference
-from repro.core.approx import dense_core_from_coo, full_core_coo, truncate_core
+from repro.core.approx import (
+    dense_core_from_coo,
+    full_core_coo,
+    truncate_core,
+    use_sparse_core,
+)
 from repro.core.config import PTuckerConfig
 from repro.core.metrics import fit, reconstruction_error, rmse
 from repro.synth_data import lowrank_tensor, sparse_tensor_uniform
+from repro.tensor.coo import CooTensor
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +130,26 @@ def test_loop_makes_no_prediction_pass(planted, monkeypatch):
     monkeypatch.setattr(delta, "predictions", boom)
     monkeypatch.setattr(delta, "predictions_sparse_core", boom)
     cfg = PTuckerConfig(
-        ranks=(3, 3, 3), max_iters=9, tol=0.0, seed=0, variant="approx"
+        ranks=(8, 8, 8),
+        max_iters=8,
+        tol=0.0,
+        seed=0,
+        variant="approx",
+        truncation_rate=0.5,
     )
     res = reference.factorize(planted, cfg)
-    assert len(res.errors) == 9
-    assert res.core_nnz_history[-2] < 0.25 * 27  # the COO kernels ran
+    assert len(res.errors) == 8
+    # The last iteration ran the COO kernels.
+    assert use_sparse_core(res.core_nnz_history[-2], 512)
+
+
+def test_non_finite_value_raises(planted):
+    vals = planted.vals.copy()
+    vals[5] = np.nan
+    t = CooTensor(planted.idx, vals, planted.shape)
+    cfg = PTuckerConfig(ranks=(3, 3, 3), max_iters=2, tol=0.0, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        reference.factorize(t, cfg)
 
 
 def test_approx_first_iteration_matches_default(planted):

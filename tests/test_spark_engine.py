@@ -122,12 +122,16 @@ def test_spark_matches_reference_approx(spark, tensor, mpt):
 
 
 def test_spark_matches_reference_approx_past_coo_switch(spark, tensor, mpt):
-    """Truncation at p=0.2 takes |G|=27 to 6 < 0.25·27 after 8 iterations,
-    so iteration 9 runs the COO kernels with the fused error and R(β)."""
-    cfg = _cfg(variant="approx", max_iters=9)
+    """Truncation at p=0.5 halves |G|=512 to 4 after 7 iterations, under
+    the COO switch, so iteration 8 runs the COO kernels with the fused
+    error and R(β); iteration 7 still runs dense."""
+    cfg = _cfg(
+        ranks=(8, 8, 8), variant="approx", truncation_rate=0.5, max_iters=8
+    )
     rs = ptucker.factorize(spark, mpt, tensor.shape, cfg)
     rr = reference.factorize(tensor, cfg)
-    assert use_sparse_core(rr.core_nnz_history[-2], 27)
+    assert use_sparse_core(rr.core_nnz_history[-2], 512)
+    assert not use_sparse_core(rr.core_nnz_history[-3], 512)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=1e-9)
     assert rs.core_nnz_history == rr.core_nnz_history
 
@@ -332,22 +336,34 @@ def test_cache_iteration_passes(spark, own_mpt, monkeypatch):
     assert jobs == 1 + 3 * 2
 
 
-@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
-def test_failed_pass_releases_persisted_data(spark, variant):
-    """An index ≥ I raises, and nothing persisted for the run outlives it."""
+def _factorize_with_bad_index(spark, variant, bad_index):
+    """Factorize a tensor whose first entry has mode-0 index ``bad_index``;
+    the mode-0 tasks raise. Asserts that nothing persisted for the run
+    outlives it."""
     t = lowrank_tensor(
         shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=7
     )
     idx = t.idx.copy()
-    idx[0, 0] = t.shape[0]
+    idx[0, 0] = bad_index
     df = spark_entries_from_coo(spark, idx, t.vals)
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
     cfg = _cfg(ranks=(2, 2, 2), partitions=2, variant=variant)
-    # The driver's assembly or, for cache, the mode-0 task raises.
-    with pytest.raises((IndexError, PythonException), match="out of bounds"):
+    with pytest.raises(PythonException, match="out of bounds"):
         ptucker.factorize(spark, df, t.shape, cfg)
     assert persistent().size() == before
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_failed_pass_releases_persisted_data(spark, variant):
+    """An index ≥ I raises, and nothing persisted for the run outlives it."""
+    _factorize_with_bad_index(spark, variant, 12)
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_negative_index_raises(spark, variant):
+    """A negative index raises instead of wrapping to the last row."""
+    _factorize_with_bad_index(spark, variant, -1)
 
 
 def test_failed_view_count_releases_persisted_data(spark, monkeypatch):
