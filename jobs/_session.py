@@ -18,8 +18,9 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. Where the value came from is left in
-    ``_SPARK_DRIVER_MEM_SRC`` (unset for the env override).
+    limit > half of ``/proc/meminfo``'s MemTotal, clamped to 2-8 g > 2g.
+    Where the value came from is left in ``_SPARK_DRIVER_MEM_SRC`` (unset
+    for the env override).
 
     The cgroup read is best-effort: some container runtimes' sysfs
     emulation does not pass the host limit through. An unbounded value
@@ -43,8 +44,14 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = f"meminfo:MemTotal={kib} kB"
+        return f"{min(8, max(2, kib // (2 << 20)))}g"
+    except (OSError, ValueError, StopIteration, IndexError):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

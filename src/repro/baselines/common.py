@@ -3,18 +3,19 @@
 All three competitors (Tucker-ALS/HOOI, Tucker-CSF, S-HOT_scan) update
 A^(n) as the J_n leading left singular vectors of the mode-n TTMc
 Y_(n) = X ×_{k≠n} A^(k)T (Algorithm 1 lines 4-5), treating missing
-entries as zeros — the accuracy flaw P-Tucker removes. They differ only
-in *how* Y_(n) is materialized, which is exactly the memory story of
-Table III:
+entries as zeros — the accuracy flaw P-Tucker removes. They share one
+Y-row kernel (``y_windows``) and one pass pair (``gram_pass``,
+``rows_pass``), and differ only in how many rows of Y_(n) exist at once,
+which is exactly the memory story of Table III:
 
-* HOOI materializes the full dense Y_(n) (I_n × J^{N-1}) on the driver —
-  the intermediate-data-explosion object;
-* Tucker-CSF materializes only each partition's local rows of Y_(n);
-* S-HOT_scan streams row-chunks, keeping O(J^{2(N-1)}) state.
+* HOOI collects the full dense Y_(n) (I_n × J^{N-1}) on the driver —
+  the intermediate-data-explosion object — and takes its SVD there;
+* Tucker-CSF materializes all of each partition's local rows of Y_(n);
+* S-HOT_scan streams 256-row windows, keeping O(J^{2(N-1)}) state.
 
-The left singular vectors are obtained from the K×K Gram Y^T Y
+CSF and S-HOT obtain the left singular vectors from the K×K Gram Y^T Y
 (K = Π_{k≠n} J_k is small), so no I_n×I_n object ever exists:
-eig(Gram) → V, then U = Y V Σ^{-1} row-by-row.
+eig(Gram) → V, then U = Y V Σ^{-1} row-by-row (``gram_update``).
 
 A ``SimulatedOOM`` budget stands in for the paper's 512 GB machine: a
 baseline whose intermediate data would exceed the budget raises instead
@@ -22,12 +23,24 @@ of thrashing this container (see DESIGN.md substitutions).
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from repro.core.config import PTuckerResult, converged
 from repro.core.delta import full_product_block
-from repro.tensor.spark_tensor import run_pass
+from repro.core.metrics import spark_reconstruction_error
+from repro.core.row_update import check_entries
+from repro.tensor.spark_tensor import (
+    ModePartitionedTensor,
+    assemble_factor,
+    run_pass,
+)
+
+# Cap on elements of one Kronecker scratch block (entry chunk × columns).
+_KRON_ELEMS = 4_000_000
 
 
 class SimulatedOOM(MemoryError):
@@ -46,54 +59,79 @@ def ensure_budget(nbytes: int, budget: int | None, what: str) -> None:
         )
 
 
-def rest_modes(order: int, mode: int) -> list[int]:
-    """Modes other than ``mode``, ascending — the TTMc column layout (Eq. 2)."""
-    return [k for k in range(order) if k != mode]
+def y_cols(factors: list[np.ndarray], mode: int) -> int:
+    """K = Π_{k≠mode} J_k, the column count of Y_(mode)."""
+    return int(np.prod([f.shape[1] for k, f in enumerate(factors) if k != mode]))
 
 
-def kron_block(
-    idx: np.ndarray, factors: list[np.ndarray], modes: list[int]
-) -> np.ndarray:
-    """Row-wise Kronecker products ⊗_{k ∈ modes} A^(k)[i_k] for a batch.
+def y_windows(idx, vals, factors, mode, window: int | None):
+    """Dense rows of Y_(mode) for one partition, ``window`` rows at a time.
 
-    Lowest mode varies fastest, matching ``matricization_col_index``.
+    Yields (sorted row ids, Y rows) per window, or one pair holding every
+    row when ``window`` is None; only one window exists at a time. idx/vals
+    must hold every entry of those rows (guaranteed when the data is
+    hash-partitioned by the mode index). Each entry adds
+    val · ⊗_k A^(k)[i_k], built by ``full_product_block`` over the other
+    modes in reversed order, so the lowest remaining mode varies fastest:
+    Eq. 2's column layout. Entries go through in chunks whose Kronecker
+    scratch stays within ``_KRON_ELEMS`` doubles.
     """
-    block: np.ndarray | None = None
-    for k in modes:
-        rows_k = factors[k][idx[:, k]]
-        if block is None:
-            block = rows_k
-        else:
-            block = (rows_k[:, :, None] * block[:, None, :]).reshape(
-                len(rows_k), -1
-            )
-    if block is None:
-        block = np.ones((len(idx), 1))
-    return block
+    rest = [k for k in reversed(range(len(factors))) if k != mode]
+    ranks = tuple(factors[k].shape[1] for k in rest)
+    rest_factors = [factors[k] for k in rest]
+    perm = np.argsort(idx[:, mode], kind="stable")
+    uniq, starts, pos = np.unique(
+        idx[perm, mode], return_index=True, return_inverse=True
+    )
+    bounds = np.append(starts, len(perm))
+    r_idx, r_vals = idx[np.ix_(perm, rest)], vals[perm]
+    k_cols = y_cols(factors, mode)
+    chunk = max(1, _KRON_ELEMS // k_cols)
+    step = window or len(uniq)
+    for rs in range(0, len(uniq), step):
+        re = min(rs + step, len(uniq))
+        rows = np.zeros((re - rs, k_cols))
+        for s in range(bounds[rs], bounds[re], chunk):
+            e = slice(s, min(s + chunk, bounds[re]))
+            block = full_product_block(rest_factors, r_idx[e], ranks)
+            np.add.at(rows, pos[e] - rs, r_vals[e, None] * block)
+        yield uniq[rs:re], rows
 
 
-def local_y_rows(
-    idx: np.ndarray,
-    vals: np.ndarray,
-    factors: list[np.ndarray],
-    mode: int,
-    row_ids: np.ndarray,
-) -> np.ndarray:
-    """Dense local rows of Y_(mode) for the given (sorted-unique) row ids.
+def gram_pass(view, factors, mode, window) -> np.ndarray:
+    """Pass 1: Gram(Y_(mode)) = Σ_rows y yᵀ, accumulated per ``y_windows``
+    window and summed over partitions."""
+    k_cols = y_cols(factors, mode)
 
-    idx/vals must contain every entry whose mode index is in ``row_ids``
-    (guaranteed when the data is hash-partitioned by the mode index).
-    """
-    rest = rest_modes(len(factors), mode)
-    k_cols = int(np.prod([factors[k].shape[1] for k in rest]))
-    out = np.zeros((len(row_ids), k_cols), dtype=np.float64)
-    pos = np.searchsorted(row_ids, idx[:, mode])
-    chunk = max(1, 4_000_000 // max(1, k_cols))
-    for s in range(0, len(vals), chunk):
-        e = slice(s, min(s + chunk, len(vals)))
-        block = kron_block(idx[e], factors, rest)
-        np.add.at(out, pos[e], vals[e, None] * block)
-    return out
+    def task(f, idx, vals, batch):
+        check_entries(idx, vals, f)
+        gram = np.zeros((k_cols, k_cols))
+        for _, rows in y_windows(idx, vals, f, mode, window):
+            gram += rows.T @ rows
+        yield pd.DataFrame({"g": [gram.ravel()]})
+
+    parts = run_pass(view, factors, task, "g array<double>")
+    return sum(parts["g"], np.zeros(k_cols * k_cols)).reshape(k_cols, k_cols)
+
+
+def rows_pass(view, factors, mode, window, proj) -> pd.DataFrame:
+    """Pass 2: the (i, row) records of Y_(mode) · proj, one per observed row."""
+
+    def task(state, idx, vals, batch):
+        f, p = state
+        check_entries(idx, vals, f)
+        for ids, rows in y_windows(idx, vals, f, mode, window):
+            yield pd.DataFrame({"i": ids, "row": list(rows @ p)})
+
+    return run_pass(view, (factors, proj), task, "i long, row array<double>")
+
+
+def gram_update(view, factors, mode, dim, rank, window) -> np.ndarray:
+    """New A^(mode) = Y V Σ^{-1} from eig(Gram(Y_(mode))), in two passes."""
+    gram = gram_pass(view, factors, mode, window)
+    v, inv_sigma = leading_left_factor_from_gram(gram, rank)
+    rows = rows_pass(view, factors, mode, window, v * inv_sigma[None, :])
+    return assemble_factor(rows, dim, rank)
 
 
 def leading_left_factor_from_gram(
@@ -121,10 +159,11 @@ def spark_core_update(
     array (C-order: mode N-1 fastest); partials are summed on the driver.
     """
     k_total = int(np.prod(ranks))
-    chunk = max(1, 4_000_000 // k_total)
+    chunk = max(1, _KRON_ELEMS // k_total)
 
     def task(f, idx, vals, batch):
-        acc = np.zeros(k_total, dtype=np.float64)
+        check_entries(idx, vals, f)
+        acc = np.zeros(k_total)
         for s in range(0, len(vals), chunk):
             e = slice(s, min(s + chunk, len(vals)))
             block = full_product_block(f, idx[e], ranks)
@@ -132,19 +171,11 @@ def spark_core_update(
         yield pd.DataFrame({"g": [acc]})
 
     parts = run_pass(view, factors, task, "g array<double>")
-    return sum_parts(parts["g"], k_total).reshape(ranks)
-
-
-def sum_parts(col: pd.Series, size: int) -> np.ndarray:
-    """Driver-side sum of per-partition array partials (zeros if none)."""
-    if not len(col):
-        return np.zeros(size)
-    return np.sum(np.stack(col.to_numpy()), axis=0)
+    return sum(parts["g"], np.zeros(k_total)).reshape(ranks)
 
 
 def hooi_family_loop(
-    spark,
-    mpt,
+    entries: DataFrame | ModePartitionedTensor,
     shape: tuple[int, ...],
     ranks: tuple[int, ...],
     mode_updater,
@@ -154,31 +185,34 @@ def hooi_family_loop(
 ):
     """Shared Algorithm-1 outer loop for the HOOI-family baselines.
 
-    ``mode_updater(n, factors) -> new A^(n)`` supplies the per-method
-    TTMc+SVD step. Per iteration the core is recomputed (line 7) and the
-    observed-entry reconstruction error (Eq. 6) recorded so speed and
-    accuracy are measured exactly as for P-Tucker.
+    ``mode_updater(n, view, factors) -> new A^(n)`` supplies the per-method
+    TTMc+SVD step over the mode-n view. Per iteration the core is
+    recomputed (line 7) and the observed-entry reconstruction error
+    (Eq. 6) recorded so speed and accuracy are measured exactly as for
+    P-Tucker. Views built here from a raw DataFrame are released on exit,
+    also when a pass raises.
     """
-    import time
-
-    from repro.core.config import PTuckerResult, converged
-    from repro.core.metrics import spark_reconstruction_error
-
+    owns = not isinstance(entries, ModePartitionedTensor)
+    mpt = ModePartitionedTensor(entries, shape) if owns else entries
     factors = init_orthonormal_factors(shape, ranks, seed)
     core = np.zeros(ranks)
     result = PTuckerResult(factors=factors, core=core)
-    for _ in range(max_iters):
-        t0 = time.perf_counter()
-        for n in range(len(shape)):
-            factors[n] = mode_updater(n, factors)
-        core = spark_core_update(mpt.view(0), factors, ranks)
-        err = spark_reconstruction_error(mpt.view(0), shape, core, factors)
-        result.errors.append(err)
-        result.core_nnz_history.append(core.size)
-        result.iter_times.append(time.perf_counter() - t0)
-        if converged(result.errors, tol):
-            result.converged = True
-            break
+    try:
+        for _ in range(max_iters):
+            t0 = time.perf_counter()
+            for n in range(len(shape)):
+                factors[n] = mode_updater(n, mpt.view(n), factors)
+            core = spark_core_update(mpt.view(0), factors, ranks)
+            err = spark_reconstruction_error(mpt.view(0), shape, core, factors)
+            result.errors.append(err)
+            result.core_nnz_history.append(core.size)
+            result.iter_times.append(time.perf_counter() - t0)
+            if converged(result.errors, tol):
+                result.converged = True
+                break
+    finally:
+        if owns:
+            mpt.unpersist()
     result.factors, result.core = factors, core
     return result
 

@@ -99,18 +99,6 @@ class CooTensor:
         )
 
 
-def from_pandas(pdf: pd.DataFrame, shape: tuple[int, ...]) -> CooTensor:
-    """Build a CooTensor from an entries DataFrame with columns i0.., val."""
-    n = len(shape)
-    idx = np.stack([pdf[f"i{k}"].to_numpy(np.int64) for k in range(n)], axis=1)
-    return CooTensor(idx, pdf["val"].to_numpy(np.float64), shape)
-
-
-def from_spark(df, shape: tuple[int, ...]) -> CooTensor:
-    """Collect a Spark entries DataFrame into a driver-side CooTensor."""
-    return from_pandas(df.toPandas(), shape)
-
-
 def from_dense(dense: np.ndarray, keep_zeros: bool = False) -> CooTensor:
     """COO view of a dense array; by default zero entries are treated as missing."""
     if keep_zeros:

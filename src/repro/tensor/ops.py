@@ -146,36 +146,3 @@ def ttmc_dense(
 def reconstruct_dense(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Full Tucker reconstruction  G ×_1 A^(1) ... ×_N A^(N)  (Eq. 5, dense)."""
     return multi_mode_product(core, list(factors))
-
-
-def core_from_factors(
-    idx: np.ndarray,
-    vals: np.ndarray,
-    factors: list[np.ndarray],
-) -> np.ndarray:
-    """Core update of Algorithm 1 line 7: G = X ×_1 A^(1)T ... ×_N A^(N)T.
-
-    Computed sparsely: each observed entry adds ``val * ⊗_n A^(n)[i_n]``
-    (an outer product over all modes) into the (J_1 × ... × J_N) core.
-    """
-    ranks = tuple(f.shape[1] for f in factors)
-    out = np.zeros(int(np.prod(ranks)), dtype=np.float64)
-    k_total = out.size
-    chunk = max(1, int(4_000_000 // max(1, k_total)))
-    for s in range(0, len(vals), chunk):
-        e = slice(s, s + chunk)
-        block = None
-        # Highest mode varies slowest in C-order raveling of the core.
-        for k in range(len(factors)):
-            rows_k = factors[k][idx[e, k]]
-            if block is None:
-                block = rows_k
-            else:
-                block = (block[:, :, None] * rows_k[:, None, :]).reshape(
-                    len(rows_k), -1
-                )
-        out += (vals[e, None] * block).sum(axis=0)
-    # block layout: mode-0 slowest? Built left-to-right with earlier modes
-    # as the outer (slower) axis -> index = ((i0*J1 + i1)*J2 + i2)... which
-    # is C-order over (J0, J1, ..., J_{N-1}).
-    return out.reshape(ranks)

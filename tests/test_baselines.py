@@ -12,9 +12,8 @@ from repro.baselines import (
 from repro.baselines.common import (
     ensure_budget,
     init_orthonormal_factors,
-    kron_block,
     leading_left_factor_from_gram,
-    local_y_rows,
+    y_windows,
 )
 from repro.core import reference
 from repro.core.config import PTuckerConfig
@@ -51,27 +50,36 @@ def test_ensure_budget_raises():
         ensure_budget(2000, 1000, "y")
 
 
-def test_kron_block_matches_kron_rows():
+def test_y_window_row_matches_kron_rows():
+    """A Y row holding one entry is ⊗ of the other modes' factor rows,
+    laid out as ``kron_rows`` (Eq. 2: lowest remaining mode fastest)."""
     g = np.random.default_rng(0)
-    factors = [g.random((5, 2)), g.random((4, 3)), g.random((6, 2))]
-    idx = np.stack([g.integers(0, s, 7) for s in (5, 4, 6)], 1).astype(np.int64)
-    block = kron_block(idx, factors, [0, 2])
-    for t in range(7):
+    factors = [g.random((5, 2)), g.random((7, 3)), g.random((6, 2))]
+    idx = np.stack(
+        [g.integers(0, 5, 7), g.permutation(7), g.integers(0, 6, 7)], 1
+    ).astype(np.int64)
+    [(ids, rows)] = y_windows(idx, np.ones(7), factors, 1, None)
+    for i, row in zip(ids, rows):
+        t = np.flatnonzero(idx[:, 1] == i)[0]
         want = kron_rows([factors[0][idx[t, 0]], factors[2][idx[t, 2]]])
-        np.testing.assert_allclose(block[t], want)
+        np.testing.assert_allclose(row, want)
 
 
-def test_local_y_rows_matches_ttmc():
+@pytest.mark.parametrize("window", [1, 2, None])
+def test_y_windows_matches_ttmc(window):
     g = np.random.default_rng(1)
     shape = (8, 6, 5)
     idx = np.stack([g.integers(0, s, 60) for s in shape], 1).astype(np.int64)
-    idx = np.unique(idx, axis=0)
+    idx = g.permutation(np.unique(idx, axis=0))
     vals = g.random(len(idx))
     factors = [g.random((i, 2)) for i in shape]
     full = ttmc_dense(idx, vals, shape, factors, 1)
-    row_ids = np.unique(idx[:, 1])
-    local = local_y_rows(idx, vals, factors, 1, row_ids)
-    np.testing.assert_allclose(local, full[row_ids], atol=1e-10)
+    windows = list(y_windows(idx, vals, factors, 1, window))
+    assert all(len(ids) <= (window or len(idx)) for ids, _ in windows)
+    ids = np.concatenate([w[0] for w in windows])
+    np.testing.assert_array_equal(ids, np.unique(idx[:, 1]))
+    rows = np.concatenate([w[1] for w in windows])
+    np.testing.assert_allclose(rows, full[ids], atol=1e-10)
 
 
 def test_leading_left_factor_from_gram():
@@ -223,11 +231,21 @@ def test_wopt_recon_error_matches_metric(tensor):
 
 
 @pytest.mark.parametrize(
-    "factorize", [factorize_shot, factorize_csf, factorize_hooi]
+    "factorize,bad",
+    [
+        pytest.param(
+            f, bad, id=f.__name__ + ("" if bad == "past_end" else f"-{bad}")
+        )
+        for f in (factorize_shot, factorize_csf, factorize_hooi)
+        for bad in ("past_end", "negative", "nan")
+    ],
 )
-def test_failed_baseline_pass_releases_broadcasts(spark, monkeypatch, factorize):
-    """An index ≥ I_1 makes the first pass's tasks raise; every broadcast
-    the run made is unpersisted anyway."""
+def test_failed_baseline_pass_releases_broadcasts(
+    spark, monkeypatch, factorize, bad
+):
+    """A bad entry (mode-1 index ≥ I_1 or −1, or a NaN value) makes the
+    first pass's tasks raise ``check_entries``'s ValueError; every
+    broadcast the run made is unpersisted anyway."""
     from pyspark import Broadcast
     from pyspark.errors import PythonException
 
@@ -245,10 +263,14 @@ def test_failed_baseline_pass_releases_broadcasts(spark, monkeypatch, factorize)
         lambda b, *a, **k: released.append(b) or unpersist(b, *a, **k),
     )
     t = lowrank_tensor(shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, seed=7)
-    idx = t.idx.copy()
-    idx[0, 1] = t.shape[1]
-    df = spark_entries_from_coo(spark, idx, t.vals)
-    with pytest.raises(PythonException, match="out of bounds"):
+    idx, vals = t.idx.copy(), t.vals.copy()
+    if bad == "nan":
+        vals[0] = np.nan
+    else:
+        idx[0, 1] = t.shape[1] if bad == "past_end" else -1
+    message = "non-finite" if bad == "nan" else "out of bounds"
+    df = spark_entries_from_coo(spark, idx, vals)
+    with pytest.raises(PythonException, match=f"ValueError: .*{message}"):
         factorize(spark, df, t.shape, (2, 2, 2), max_iters=1)
     assert made
     assert {id(b) for b in released} == {id(b) for b in made}

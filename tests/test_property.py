@@ -100,19 +100,21 @@ def test_sse_partial_additivity(seed, n):
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=15, deadline=None)
-def test_kron_block_consistent_with_col_index(seed):
-    """kron_block's column layout must match Eq. 2's column indices:
-    Y row built by scatter at matricization_col_index equals the
-    val-scaled kron block."""
+def test_y_window_layout_matches_col_index(seed):
+    """y_windows' column layout must match Eq. 2's column indices: with
+    identity factors, a Y row holding one entry is the unit vector at
+    that entry's matricization_col_index."""
     g = np.random.default_rng(seed)
-    shape = (4, 3, 5)
+    shape = (4, 6, 5)
     factors = [np.eye(s) for s in shape]  # identity factors expose layout
-    from repro.baselines.common import kron_block
+    from repro.baselines.common import y_windows
 
-    idx = np.stack([g.integers(0, s, 5) for s in shape], 1).astype(np.int64)
-    block = kron_block(idx, factors, [0, 2])
+    idx = np.stack(
+        [g.integers(0, 4, 5), g.permutation(6)[:5], g.integers(0, 5, 5)], 1
+    ).astype(np.int64)
+    [(ids, rows)] = y_windows(idx, np.ones(5), factors, 1, None)
     cols = ops.matricization_col_index(idx, shape, 1)
-    for t in range(5):
+    for i, row in zip(ids, rows):
         want = np.zeros(shape[0] * shape[2])
-        want[cols[t]] = 1.0
-        np.testing.assert_allclose(block[t], want)
+        want[cols[idx[:, 1] == i]] = 1.0
+        np.testing.assert_allclose(row, want)
