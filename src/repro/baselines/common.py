@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame
 
 from repro.core.config import PTuckerResult, converged
@@ -36,6 +36,7 @@ from repro.core.row_update import check_entries
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
     assemble_factor,
+    mode_blocks,
     run_pass,
 )
 
@@ -98,39 +99,39 @@ def y_windows(idx, vals, factors, mode, window: int | None):
         yield uniq[rs:re], rows
 
 
-def gram_pass(view, factors, mode, window) -> np.ndarray:
+def gram_pass(blocks, factors, mode, window) -> np.ndarray:
     """Pass 1: Gram(Y_(mode)) = Σ_rows y yᵀ, accumulated per ``y_windows``
     window and summed over partitions."""
     k_cols = y_cols(factors, mode)
 
-    def task(f, idx, vals, batch):
+    def task(f, idx, vals):
         check_entries(idx, vals, f)
         gram = np.zeros((k_cols, k_cols))
         for _, rows in y_windows(idx, vals, f, mode, window):
             gram += rows.T @ rows
-        yield pd.DataFrame({"g": [gram.ravel()]})
+        return gram
 
-    parts = run_pass(view, factors, task, "g array<double>")
-    return sum(parts["g"], np.zeros(k_cols * k_cols)).reshape(k_cols, k_cols)
+    return sum(run_pass(blocks, factors, task), np.zeros((k_cols, k_cols)))
 
 
-def rows_pass(view, factors, mode, window, proj) -> pd.DataFrame:
-    """Pass 2: the (i, row) records of Y_(mode) · proj, one per observed row."""
+def rows_pass(blocks, factors, mode, window, proj) -> list:
+    """Pass 2: ``(row ids, rows of Y_(mode) · proj)`` per partition, one row
+    per observed index."""
 
-    def task(state, idx, vals, batch):
+    def task(state, idx, vals):
         f, p = state
         check_entries(idx, vals, f)
-        for ids, rows in y_windows(idx, vals, f, mode, window):
-            yield pd.DataFrame({"i": ids, "row": list(rows @ p)})
+        wins = [(i, rows @ p) for i, rows in y_windows(idx, vals, f, mode, window)]
+        return tuple(map(np.concatenate, zip(*wins)))
 
-    return run_pass(view, (factors, proj), task, "i long, row array<double>")
+    return run_pass(blocks, (factors, proj), task)
 
 
-def gram_update(view, factors, mode, dim, rank, window) -> np.ndarray:
+def gram_update(blocks, factors, mode, dim, rank, window) -> np.ndarray:
     """New A^(mode) = Y V Σ^{-1} from eig(Gram(Y_(mode))), in two passes."""
-    gram = gram_pass(view, factors, mode, window)
+    gram = gram_pass(blocks, factors, mode, window)
     v, inv_sigma = leading_left_factor_from_gram(gram, rank)
-    rows = rows_pass(view, factors, mode, window, v * inv_sigma[None, :])
+    rows = rows_pass(blocks, factors, mode, window, v * inv_sigma[None, :])
     return assemble_factor(rows, dim, rank)
 
 
@@ -151,7 +152,7 @@ def leading_left_factor_from_gram(
 
 
 def spark_core_update(
-    view: DataFrame, factors: list[np.ndarray], ranks: tuple[int, ...]
+    blocks: RDD, factors: list[np.ndarray], ranks: tuple[int, ...]
 ) -> np.ndarray:
     """Distributed Algorithm 1 line 7: G = X ×_1 A^(1)T ... ×_N A^(N)T.
 
@@ -161,17 +162,16 @@ def spark_core_update(
     k_total = int(np.prod(ranks))
     chunk = max(1, _KRON_ELEMS // k_total)
 
-    def task(f, idx, vals, batch):
+    def task(f, idx, vals):
         check_entries(idx, vals, f)
         acc = np.zeros(k_total)
         for s in range(0, len(vals), chunk):
             e = slice(s, min(s + chunk, len(vals)))
             block = full_product_block(f, idx[e], ranks)
             acc += (vals[e, None] * block).sum(axis=0)
-        yield pd.DataFrame({"g": [acc]})
+        return acc
 
-    parts = run_pass(view, factors, task, "g array<double>")
-    return sum(parts["g"], np.zeros(k_total)).reshape(ranks)
+    return sum(run_pass(blocks, factors, task), np.zeros(k_total)).reshape(ranks)
 
 
 def hooi_family_loop(
@@ -185,34 +185,30 @@ def hooi_family_loop(
 ):
     """Shared Algorithm-1 outer loop for the HOOI-family baselines.
 
-    ``mode_updater(n, view, factors) -> new A^(n)`` supplies the per-method
-    TTMc+SVD step over the mode-n view. Per iteration the core is
-    recomputed (line 7) and the observed-entry reconstruction error
-    (Eq. 6) recorded so speed and accuracy are measured exactly as for
-    P-Tucker. Views built here from a raw DataFrame are released on exit,
-    also when a pass raises.
+    ``mode_updater(n, blocks, factors) -> new A^(n)`` supplies the
+    per-method TTMc+SVD step over the blocks of the mode-n view. Per
+    iteration the core is recomputed (line 7) and the observed-entry
+    reconstruction error (Eq. 6) recorded so speed and accuracy are
+    measured exactly as for P-Tucker. The run's blocks, and views built
+    here from a raw DataFrame, are released on exit, also when a pass
+    raises.
     """
-    owns = not isinstance(entries, ModePartitionedTensor)
-    mpt = ModePartitionedTensor(entries, shape) if owns else entries
     factors = init_orthonormal_factors(shape, ranks, seed)
     core = np.zeros(ranks)
     result = PTuckerResult(factors=factors, core=core)
-    try:
+    with mode_blocks(entries, shape) as blocks:
         for _ in range(max_iters):
             t0 = time.perf_counter()
             for n in range(len(shape)):
-                factors[n] = mode_updater(n, mpt.view(n), factors)
-            core = spark_core_update(mpt.view(0), factors, ranks)
-            err = spark_reconstruction_error(mpt.view(0), shape, core, factors)
+                factors[n] = mode_updater(n, blocks(n), factors)
+            core = spark_core_update(blocks(0), factors, ranks)
+            err = spark_reconstruction_error(blocks(0), core, factors)
             result.errors.append(err)
             result.core_nnz_history.append(core.size)
             result.iter_times.append(time.perf_counter() - t0)
             if converged(result.errors, tol):
                 result.converged = True
                 break
-    finally:
-        if owns:
-            mpt.unpersist()
     result.factors, result.core = factors, core
     return result
 

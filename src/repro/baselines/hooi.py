@@ -40,12 +40,12 @@ def factorize_hooi(
 ):
     """Run classic Tucker-ALS (HOOI) with driver-side dense Y_(n)."""
 
-    def updater(n, view, factors):
+    def updater(n, blocks, factors):
         k_cols = y_cols(factors, n)
         ensure_budget(
             shape[n] * k_cols * 8, mem_budget, f"dense Y_({n}) matricization"
         )
-        rows = rows_pass(view, factors, n, None, np.eye(k_cols))
+        rows = rows_pass(blocks, factors, n, None, np.eye(k_cols))
         y = assemble_factor(rows, shape[n], k_cols)
         u = np.linalg.svd(y, full_matrices=False)[0][:, : ranks[n]]
         # K < J_n: pad with zero columns.

@@ -41,7 +41,7 @@ def factorize_shot(
 ):
     """Run the S-HOT_scan-like Tucker-ALS on Spark."""
 
-    def updater(n, view, factors):
+    def updater(n, blocks, factors):
         k_cols = y_cols(factors, n)
         # Scan-bounded intermediates: Gram + one scan window per task.
         ensure_budget(
@@ -49,6 +49,6 @@ def factorize_shot(
             mem_budget,
             f"S-HOT scan window for mode {n}",
         )
-        return gram_update(view, factors, n, shape[n], ranks[n], _SCAN_ROWS)
+        return gram_update(blocks, factors, n, shape[n], ranks[n], _SCAN_ROWS)
 
     return hooi_family_loop(entries, shape, ranks, updater, max_iters, tol, seed)

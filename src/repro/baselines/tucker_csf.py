@@ -40,7 +40,7 @@ def factorize_csf(
 ):
     """Run the Tucker-CSF-like Tucker-ALS on Spark."""
 
-    def updater(n, view, factors):
+    def updater(n, blocks, factors):
         # Materialized-rows footprint: all local Y blocks together span
         # the observed rows of mode n (≤ I_n) — Table III's O(I·J^{N-1}).
         ensure_budget(
@@ -48,6 +48,6 @@ def factorize_csf(
             mem_budget,
             f"Tucker-CSF materialized Y_({n}) rows",
         )
-        return gram_update(view, factors, n, shape[n], ranks[n], None)
+        return gram_update(blocks, factors, n, shape[n], ranks[n], None)
 
     return hooi_family_loop(entries, shape, ranks, updater, max_iters, tol, seed)

@@ -1,34 +1,37 @@
 """P-Tucker-Cache on Spark (Algorithm 3's Pres memoization).
 
-The cache table Pres ∈ R^{|Ω| × |G|} is realized as an ``array<double>``
-column of length |G| on the entries DataFrame, so the table is co-
-partitioned with the entries it belongs to and moves with them through
-each mode's shuffle. A mode update is one Spark action over the entries
-partitioned by ``i_n``, and each task does Algorithm 3's per-thread work
-for the rows it owns:
+The cache table Pres ∈ R^{|Ω| × |G|} travels inside the entry blocks: a
+mode-``n`` block is ``(idx, vals, pres)`` for entries partitioned by
+``i_n``, so each entry's Pres row moves with it through each mode's
+shuffle. A mode update is one Spark action over those blocks, and each
+task does Algorithm 3's per-thread work for the rows it owns:
 
 1. mode 0 only: compute Pres for its entries (Alg. 3 lines 1-4) — the
-   base view is already partitioned by ``i_0``, so this needs no pass of
-   its own;
+   mode-0 blocks come from the ``i0``-partitioned view, so this needs no
+   pass of its own;
 2. update its rows with δ recovered from Pres by dividing out the mode-n
    factor (Alg. 3 line 12);
 3. rescale its own Pres entries by ``a_new / a_old`` (Alg. 3 lines
    17-19), rebuilding pairs whose old factor value is ~0. The last mode
-   emits its partial SSE (Eq. 6) instead, since no later mode reads Pres.
+   returns its partial SSE (Eq. 6) instead, since no later mode reads
+   Pres.
 
 ``cache_passes`` supplies this step to ``ptucker``'s ALS loop, which all
-three variants share. The task emits its ``(i, row)`` records and its
-rescaled entries under one nullable schema. The Spark driver persists
-that output; the one filtered ``toPandas`` that collects the rows also
-materializes it, and its entry records feed the next mode's shuffle. This deliberately materializes and
-shuffles the O(|Ω|·J^N) state — the exact time-for-memory trade the paper
-measures in Fig. 8.
+three variants share. A task returns its ``(indices, rows, sse, r)`` and
+its rescaled ``(idx, vals, pres)`` block. The Spark driver persists that
+output and collects only the row tuples, which also materializes it; the
+next mode's job splits each persisted block by the owner ``i_n mod P``
+of its entries, shuffles the pieces with ``partitionBy`` and concatenates
+each partition's pieces into one block. This deliberately materializes
+and shuffles the O(|Ω|·J^N) state — the exact time-for-memory trade the
+paper measures in Fig. 8.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 
 import numpy as np
+from pyspark import RDD
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
@@ -40,51 +43,51 @@ from repro.core.ptucker import (  # noqa: F401 - perfbench patches these names
     qr_orthogonalize,
     spark_sse,
 )
-from repro.core.ptucker import local_factors, records
+from repro.core.ptucker import local_factors
 from repro.core.row_update import update_rows
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
-    entry_columns,
-    map_entries,
+    block_pass,
+    collect,
+    to_blocks,
+    typed_entries,
 )
 
 
-def _pass_schema(order: int) -> str:
-    """Schema of a mode pass's output.
-
-    Entry records set ``i0..``, ``val`` and ``pres``; row records set
-    ``i`` and ``row``; the last mode's stats record sets ``sse``. So
-    ``i0`` is null exactly on the records the driver collects.
-    """
-    idx = ", ".join(f"{c} long" for c in entry_columns(order))
-    return (
-        f"{idx}, val double, pres array<double>, "
-        "i long, row array<double>, sse double"
-    )
-
-
-def _mode_task(mode: int, lam: float, order: int):
+def _mode_task(mode: int, lam: float, last: bool):
     """The fused mode-``mode`` update of one partition."""
-    schema = _pass_schema(order)
-    last = mode == order - 1
 
-    def task(state, idx, vals, batch):
+    def task(state, idx, vals, pres=None):
         core, factors, _, _ = state
-        if "pres" in batch.columns:
-            pres = np.stack(batch["pres"].to_numpy())
-        else:
+        if pres is None:
             pres = delta_mod.compute_pres(core, factors, idx)
         upd = update_rows(idx, vals, core, factors, mode, lam, pres=pres)
-        yield records(schema, len(upd.indices), i=upd.indices, row=list(upd.rows))
         if last:
-            yield records(schema, 1, sse=[upd.sse(vals)])
-            return
+            return upd.indices, upd.rows, upd.sse(vals), None, None
         local = local_factors(factors, mode, upd)
         pres = delta_mod.rescale_pres(pres, core, local, factors[mode], idx, mode)
-        entries = {c: idx[:, k] for k, c in enumerate(entry_columns(order))}
-        yield records(schema, len(vals), **entries, val=vals, pres=list(pres))
+        return upd.indices, upd.rows, None, None, (idx, vals, pres)
 
     return task
+
+
+def _reshuffle(out: RDD, mode: int, partitions: int) -> RDD:
+    """The entries of ``out`` as one block per non-empty partition of owner
+    ``i_mode mod P``, so each block holds complete mode-``mode`` rows."""
+
+    def split(o):
+        idx, vals, pres = o[4]
+        owner = idx[:, mode] % partitions
+        for p in np.unique(owner):
+            keep = owner == p
+            yield int(p), (idx[keep], vals[keep], pres[keep])
+
+    def merge(pieces):
+        blocks = [b for _, b in pieces]
+        if blocks:
+            yield tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+    return out.flatMap(split).partitionBy(partitions).mapPartitions(merge)
 
 
 @contextmanager
@@ -95,58 +98,45 @@ def cache_passes(
 ):
     """The Cache step of ``ptucker``'s ALS loop, as a context manager.
 
-    Mode 0 reads the ``i0``-partitioned base (built and persisted here from
-    a raw DataFrame); mode ``n > 0`` reads the previous mode's persisted
-    entry records, shuffled by ``i_n``. Everything persisted here is
-    released on exit, a raising pass included.
+    Mode 0 reads the blocks of the ``i0``-partitioned view (repartitioned
+    here from a raw DataFrame), converted by its first pass and persisted
+    for the run; mode ``n > 0`` reads the previous mode's persisted output,
+    reshuffled by ``i_n``. Everything persisted here is released on exit,
+    a raising pass included.
     """
     n_modes = len(shape)
-    order_cols = entry_columns(n_modes)
-    owns_base = not isinstance(entries, ModePartitionedTensor)
-    base = entries if owns_base else entries.view(0)
-    sc = base.sparkSession.sparkContext
-    partitions = cfg.partitions or sc.defaultParallelism
-    if owns_base:
-        base = (
-            base.select(
-                *[F.col(c).cast("long") for c in order_cols],
-                F.col("val").cast("double"),
-            )
-            .repartition(partitions, F.col("i0"))
-            .persist(StorageLevel.MEMORY_AND_DISK)
+    if isinstance(entries, ModePartitionedTensor):
+        view, partitions = entries.view(0), entries.partitions
+    else:
+        sc = entries.sparkSession.sparkContext
+        partitions = cfg.partitions or sc.defaultParallelism
+        view = typed_entries(entries, n_modes).repartition(
+            partitions, F.col("i0")
         )
-    schema = _pass_schema(n_modes)
+    base = to_blocks(view).persist(StorageLevel.MEMORY_AND_DISK)
     prev = cur = None  # persisted outputs of the previous and this mode
 
-    def step(n: int, bc):
+    def step(n: int, bc) -> list:
         nonlocal prev, cur
-        view = base
-        if n > 0:
-            view = (
-                prev.where(F.col("i0").isNotNull())
-                .select(*order_cols, "val", "pres")
-                .repartition(partitions, F.col(f"i{n}"))
-            )
-        cur = map_entries(view, bc, _mode_task(n, cfg.lam, n_modes), schema)
-        if n < n_modes - 1:
+        blocks = base if n == 0 else _reshuffle(prev, n, partitions)
+        last = n == n_modes - 1
+        cur = block_pass(blocks, bc, _mode_task(n, cfg.lam, last))
+        if not last:
             cur.persist(StorageLevel.MEMORY_AND_DISK)
-        # Collecting the rows also materializes the persisted entries, so
+        # Collecting the rows also materializes the persisted blocks, so
         # the next mode's shuffle reads the cache.
-        collected = (
-            cur.where(F.col("i0").isNull()).select("i", "row", "sse").toPandas()
-        )
+        collected = collect(cur.map(lambda o: o[:4]))
         if prev is not None:
             prev.unpersist()
-        prev = cur if n < n_modes - 1 else None
-        cur = None
+        prev, cur = None if last else cur, None
         return collected
 
     try:
         yield step
     finally:
-        for df in (prev, cur, base if owns_base else None):
-            if df is not None:
-                df.unpersist()
+        for rdd in (prev, cur, base):
+            if rdd is not None:
+                rdd.unpersist()
 
 
 def pres_bytes(nnz: int, ranks: tuple[int, ...]) -> int:

@@ -3,13 +3,13 @@
 The paper evaluates with (a) reconstruction error over the training
 (observed) entries and (b) RMSE over a held-out 10% of the observed
 entries, predicted via Eq. 5. Both NumPy (driver) and Spark paths are
-provided; the Spark path is ``ptucker.spark_sse``, a single ``mapInPandas``
-sweep emitting per-partition partials (paper Section III-D).
+provided; the Spark path is ``ptucker.spark_sse``, a single block pass
+returning per-partition partials (paper Section III-D).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark import RDD
 
 from repro.core import delta as delta_mod
 from repro.core import ptucker
@@ -43,14 +43,12 @@ def rmse(tensor: CooTensor, core: np.ndarray, factors: list[np.ndarray]) -> floa
 
 
 def spark_reconstruction_error(
-    entries: DataFrame,
-    shape: tuple[int, ...],
-    core: np.ndarray,
-    factors: list[np.ndarray],
+    blocks: RDD, core: np.ndarray, factors: list[np.ndarray]
 ) -> float:
-    """Distributed Eq. 6 over an entries DataFrame: one ``spark_sse`` pass."""
-    bc = entries.sparkSession.sparkContext.broadcast((core, factors, None))
+    """Distributed Eq. 6 over entry blocks (``spark_tensor.to_blocks``):
+    one ``spark_sse`` pass."""
+    bc = blocks.context.broadcast((core, factors, None))
     try:
-        return float(np.sqrt(ptucker.spark_sse(entries, bc, len(shape))))
+        return float(np.sqrt(ptucker.spark_sse(blocks, bc)))
     finally:
         bc.unpersist()

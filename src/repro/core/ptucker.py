@@ -1,25 +1,26 @@
 """P-Tucker on Spark: fully parallel row-wise ALS (Algorithms 2-3).
 
 The sparse tensor lives in Spark as N persisted views, view ``n`` hash-
-partitioned by the mode-n index (``ModePartitionedTensor``). One mode
-update is a single ``map_entries`` action over view ``n``: each partition
-owns complete row groups Ω^(n)_{i_n}, vectorizes the δ/B/c accumulation
-with NumPy, solves the (B+λI) systems for its rows, and emits
-``(i_n, new_row)``. The driver collects the (small) row table, assembles
-the new A^(n), and broadcasts the refreshed model state for the next
-mode — mirroring the paper's thread-parallel row distribution with Spark
-partitions as the unit of parallelism.
+partitioned by the mode-n index (``ModePartitionedTensor``); a run reads
+them as persisted NumPy blocks (``spark_tensor.mode_blocks``). One mode
+update is a single ``block_pass`` action over the blocks of view ``n``:
+each partition owns complete row groups Ω^(n)_{i_n}, vectorizes the
+δ/B/c accumulation with NumPy, solves the (B+λI) systems for its rows,
+and returns ``(indices, rows)``. The driver collects these (small)
+tuples, assembles the new A^(n), and broadcasts the refreshed model
+state for the next mode — mirroring the paper's thread-parallel row
+distribution with Spark partitions as the unit of parallelism.
 
 All three variants run the one ALS loop ``_als``, which differs between
-them only in the per-mode step that returns the collected records:
+them only in the per-mode step that returns the collected tuples:
 ``_update_passes`` (default and Approx: δ from the broadcast core) or
-``cache.cache_passes`` (δ from the Pres column the entries carry).
+``cache.cache_passes`` (δ from the Pres table the blocks carry).
 
 The last mode's tasks also compute the iteration's reconstruction error
 (from the row update's own δ, X̂_α = δ_α·a_new) and, for Approx, R(β) on
 their freshly updated rows, so an iteration is exactly N Spark actions.
 ``spark_sse``/``spark_rerror`` are the same reductions as stand-alone
-passes over any view; ``spark_sse`` is also the distributed error of
+passes over any blocks; ``spark_sse`` is also the distributed error of
 ``metrics.spark_reconstruction_error``.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.approx import (
@@ -43,26 +44,10 @@ from repro.tensor.linalg import init_factors, qr_orthogonalize
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
     assemble_factor,
-    map_entries,
+    block_pass,
+    collect,
+    mode_blocks,
 )
-
-_PASS_SCHEMA = "i long, row array<double>, sse double, r array<double>"
-
-
-def records(schema: str, n: int, **data) -> pd.DataFrame:
-    """``n`` records of the DDL ``schema``: ``data``'s columns set, the others null.
-
-    A fused pass emits several kinds of record under one nullable schema;
-    which columns are set tells the kinds apart.
-    """
-    names = [field.split()[0] for field in schema.split(",")]
-    return pd.DataFrame({c: data.get(c, [None] * n) for c in names})
-
-
-def split_records(out: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """(row records, stats records) of a collected fused pass."""
-    stats = out["row"].isna()
-    return out[~stats], out[stats]
 
 
 def local_factors(factors: list[np.ndarray], mode: int, upd) -> list[np.ndarray]:
@@ -79,28 +64,24 @@ def local_factors(factors: list[np.ndarray], mode: int, upd) -> list[np.ndarray]
 def _update_task(mode: int, lam: float, last: bool):
     """The mode-``mode`` update of one partition.
 
-    The task solves its rows and emits ``(i, row)`` records. In the last
-    mode it then emits one stats record: its partial SSE (Eq. 6), from the
-    predictions the row update returns, and, when a COO core is broadcast
-    for it, its partial R(β) (Eq. 14) on the factors with its new rows
-    written in.
+    The task returns ``(indices, rows, sse, r)``: its solved rows and, in
+    the last mode, its partial SSE (Eq. 6), from the predictions the row
+    update returns, and, when a COO core is broadcast for it, its partial
+    R(β) (Eq. 14) on the factors with its new rows written in.
     """
 
-    def task(state, idx, vals, batch):
+    def task(state, idx, vals):
         core, factors, core_coo, rerror_core = state
         upd = update_rows(
             idx, vals, core, factors, mode, lam, core_coo=core_coo
         )
-        yield records(
-            _PASS_SCHEMA, len(upd.indices), i=upd.indices, row=list(upd.rows)
-        )
         if not last:
-            return
+            return upd.indices, upd.rows, None, None
         r = None
         if rerror_core is not None:
             local = local_factors(factors, mode, upd)
             r = rerror_partial(idx, vals, *rerror_core, core.shape, local)
-        yield records(_PASS_SCHEMA, 1, sse=[upd.sse(vals)], r=[r])
+        return upd.indices, upd.rows, upd.sse(vals), r
 
     return task
 
@@ -111,45 +92,35 @@ def _update_passes(
     shape: tuple[int, ...],
     cfg: PTuckerConfig,
 ):
-    """The default/Approx step: one action over the view partitioned by ``n``.
+    """The default/Approx step: one action over the blocks of view ``n``.
 
-    A view set built here from a raw DataFrame is released on exit.
+    The run's blocks, and a view set built here from a raw DataFrame, are
+    released on exit.
     """
-    owns_mpt = not isinstance(entries, ModePartitionedTensor)
-    mpt = (
-        ModePartitionedTensor(entries, shape, cfg.partitions)
-        if owns_mpt
-        else entries
-    )
     last = len(shape) - 1
+    with mode_blocks(entries, shape, cfg.partitions) as blocks:
 
-    def step(n: int, bc) -> pd.DataFrame:
-        task = _update_task(n, cfg.lam, n == last)
-        return map_entries(mpt.view(n), bc, task, _PASS_SCHEMA).toPandas()
+        def step(n: int, bc) -> list:
+            task = _update_task(n, cfg.lam, n == last)
+            return collect(block_pass(blocks(n), bc, task))
 
-    try:
         yield step
-    finally:
-        if owns_mpt:
-            mpt.unpersist()
 
 
-def spark_sse(view: DataFrame, bc, order: int) -> float:
+def spark_sse(blocks: RDD, bc) -> float:
     """Distributed Eq. 6: Σ (X_α − X̂_α)² over observed entries.
 
-    ``bc`` broadcasts (core, factors, core_coo); the order is the view's.
+    ``bc`` broadcasts (core, factors, core_coo).
     """
 
-    def task(state, idx, vals, batch):
+    def task(state, idx, vals):
         core, factors, core_coo = state
-        sse, _ = sse_partial(idx, vals, core, factors, core_coo=core_coo)
-        yield pd.DataFrame({"sse": [sse]})
+        return sse_partial(idx, vals, core, factors, core_coo=core_coo)[0]
 
-    parts = map_entries(view, bc, task, "sse double").toPandas()
-    return float(parts["sse"].sum())
+    return float(sum(collect(block_pass(blocks, bc, task))))
 
 
-def spark_rerror(view: DataFrame, bc_rerror, order: int, ranks) -> np.ndarray:
+def spark_rerror(blocks: RDD, bc_rerror, ranks) -> np.ndarray:
     """Distributed Eq. 14: sum of per-partition partial R(β) vectors.
 
     ``bc_rerror`` broadcasts (factors, core_idx, core_vals): R(β) always
@@ -157,15 +128,12 @@ def spark_rerror(view: DataFrame, bc_rerror, order: int, ranks) -> np.ndarray:
     are currently using.
     """
 
-    def task(state, idx, vals, batch):
+    def task(state, idx, vals):
         factors, c_idx, c_vals = state
-        r = rerror_partial(idx, vals, c_idx, c_vals, tuple(ranks), factors)
-        yield pd.DataFrame({"r": [r]})
+        return rerror_partial(idx, vals, c_idx, c_vals, tuple(ranks), factors)
 
-    parts = map_entries(view, bc_rerror, task, "r array<double>").toPandas()
-    if not len(parts):
-        return np.zeros(0)
-    return np.sum(np.stack(parts["r"].to_numpy()), axis=0)
+    parts = collect(block_pass(blocks, bc_rerror, task))
+    return np.sum(parts, axis=0) if parts else np.zeros(0)
 
 
 def factorize(
@@ -193,7 +161,8 @@ def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
 
     ``step(n, bc)`` runs mode ``n``'s update with the model broadcast as
     ``bc`` = (core, factors, core_coo, rerror_core) and returns the
-    collected row and stats records.
+    collected ``(indices, rows, sse, r)`` tuples, one per non-empty
+    partition; ``sse`` and ``r`` are set in the last mode only.
     """
     n_modes = len(shape)
     factors, core = init_factors(shape, cfg.ranks, cfg.seed)
@@ -227,12 +196,11 @@ def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
                 out = step(n, bc)
             finally:
                 bc.unpersist()
-            rows, stats = split_records(out)
-            factors[n] = assemble_factor(rows, shape[n], cfg.ranks[n])
+            factors[n] = assemble_factor(out, shape[n], cfg.ranks[n])
         # Error of the model before this iteration's truncation (Eq. 6).
-        result.errors.append(float(np.sqrt(stats["sse"].sum())))
+        result.errors.append(float(np.sqrt(sum(o[2] for o in out))))
         if cfg.variant == "approx":
-            rerr = sum(stats["r"], np.zeros(len(core_vals)))
+            rerr = sum((o[3] for o in out), np.zeros(len(core_vals)))
             core_idx, core_vals = truncate_core(
                 core_idx, core_vals, rerr, cfg.truncation_rate
             )

@@ -3,21 +3,29 @@
 ``ModePartitionedTensor`` owns N persisted copies of the entries
 DataFrame, copy ``n`` hash-partitioned by the mode-n index ``i{n}``.
 Hash partitioning puts every row group Ω^(n)_{i_n} into exactly one
-partition, so a ``mapInPandas`` pass over copy ``n`` can update its
-owned factor-matrix rows without any cross-partition coordination —
-the Spark analogue of P-Tucker's per-thread row allocation
-(Section III-D of the paper).
+partition, so a pass over copy ``n`` can update its owned factor-matrix
+rows without any cross-partition coordination — the Spark analogue of
+P-Tucker's per-thread row allocation (Section III-D of the paper).
 
-Every engine pass over entries goes through ``map_entries`` (one
-``mapInPandas`` that decodes each partition into COO arrays) and, when it
-owns its broadcast, ``run_pass``.
+Every engine pass runs over *blocks*, an RDD of one ``(idx E×N int64,
+vals E[, pres E×|G|])`` tuple per non-empty partition (``to_blocks``,
+``mode_blocks``): ``collect(block_pass(blocks, bc, task))``, or
+``run_pass`` with its own broadcast. At |Ω|=10⁶ (N=3, 4 partitions, 4
+cores) a no-op pass over persisted blocks takes ≈0.08 s against ≈0.95 s
+as a pandas UDF over the persisted view; converting a view costs
+0.27-0.33 s, once per run.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+from py4j.protocol import Py4JJavaError
+from pyspark import RDD
+from pyspark.errors import PythonException
+from pyspark.serializers import NoOpSerializer
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
@@ -26,6 +34,14 @@ from pyspark.storagelevel import StorageLevel
 def entry_columns(order: int) -> list[str]:
     """Index column names i0..i{N-1} for an order-N tensor."""
     return [f"i{n}" for n in range(order)]
+
+
+def typed_entries(entries: DataFrame, order: int) -> DataFrame:
+    """``entries`` as columns i0..i{N-1} (long) and val (double)."""
+    return entries.select(
+        *[F.col(c).cast("long") for c in entry_columns(order)],
+        F.col("val").cast("double"),
+    )
 
 
 class ModePartitionedTensor:
@@ -48,11 +64,7 @@ class ModePartitionedTensor:
         self.order = len(shape)
         spark = entries.sparkSession
         self.partitions = partitions or spark.sparkContext.defaultParallelism
-        cols = entry_columns(self.order) + ["val"]
-        base = entries.select(
-            *[F.col(c).cast("long") for c in entry_columns(self.order)],
-            F.col("val").cast("double"),
-        ).select(*cols)
+        base = typed_entries(entries, self.order)
         self._views: list[DataFrame] = []
         for n in range(self.order):
             v = base.repartition(self.partitions, F.col(f"i{n}")).persist(
@@ -79,56 +91,97 @@ class ModePartitionedTensor:
             v.unpersist()
 
 
-def map_entries(view: DataFrame, bc, task, schema: str) -> DataFrame:
-    """A lazy pass running ``task`` once per non-empty partition of ``view``.
+def to_blocks(entries: DataFrame) -> RDD:
+    """Lazy RDD of one ``(idx, vals)`` block per non-empty partition.
 
-    The partition's Arrow batches are concatenated and decoded once into
-    ``idx`` (E×N int64, from the index columns ``i0..``) and ``vals``;
-    ``task(bc.value, idx, vals, batch)`` then yields the partition's
-    ``schema`` records, and ``batch`` carries any further columns (Cache's
-    ``pres``). An empty partition emits nothing, since Arrow cannot type a
-    0-row batch, so sums on the Spark driver count it as zero.
+    Block p holds partition p's entries (columns i0..i{N-1}, val) in
+    order, as int64 and float64 arrays. The JVM encodes each partition as
+    Arrow record batches (``Dataset.toArrowBatchRdd``, Spark-internal), and
+    one Python task per partition decodes them into the block.
     """
+    order = len(entries.columns) - 1
+    typed = typed_entries(entries, order)
+    messages = typed._jdf.toArrowBatchRdd().toJavaRDD()
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        frames = [b for b in batches if len(b)]
-        if not frames:
-            return
-        batch = pd.concat(frames, ignore_index=True)
-        order = sum(c[:1] == "i" and c[1:].isdigit() for c in batch.columns)
-        idx = np.stack(
-            [batch[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-        )
-        yield from task(bc.value, idx, batch["val"].to_numpy(np.float64), batch)
+    def unpack(parts):
+        cols = entry_columns(order)  # a repro global: the worker imports repro
+        schema = pa.schema([(c, pa.int64()) for c in cols] + [("val", pa.float64())])
+        batches = [pa.ipc.read_record_batch(pa.py_buffer(m), schema) for m in parts]
+        table = pa.Table.from_batches(batches, schema)
+        if table.num_rows:
+            idx = np.stack([table.column(c).to_numpy() for c in cols], axis=1)
+            yield idx, table.column("val").to_numpy()
 
-    return view.mapInPandas(run, schema=schema)
+    sc = entries.sparkSession.sparkContext
+    return RDD(messages, sc, NoOpSerializer()).mapPartitions(unpack)
 
 
-def run_pass(view: DataFrame, state, task, schema: str) -> pd.DataFrame:
-    """Broadcast ``state``, collect ``map_entries`` of ``task``, release.
+@contextmanager
+def mode_blocks(
+    entries: DataFrame | ModePartitionedTensor,
+    shape: tuple[int, ...],
+    partitions: int | None = None,
+):
+    """``blocks(n)`` for one run: the persisted blocks of mode view ``n``.
 
-    The broadcast is unpersisted in ``finally``, so a raising task leaks
-    nothing.
+    View ``n`` is converted by the first pass over ``blocks(n)``, inside
+    that pass's job. On exit every block RDD is unpersisted, and so is a
+    view set built here from a raw DataFrame, also when a pass raises.
     """
-    bc = view.sparkSession.sparkContext.broadcast(state)
+    owns = not isinstance(entries, ModePartitionedTensor)
+    mpt = ModePartitionedTensor(entries, shape, partitions) if owns else entries
+    made: dict[int, RDD] = {}
+
+    def blocks(n: int) -> RDD:
+        if n not in made:
+            made[n] = to_blocks(mpt.view(n)).persist(StorageLevel.MEMORY_AND_DISK)
+        return made[n]
+
     try:
-        return map_entries(view, bc, task, schema).toPandas()
+        yield blocks
+    finally:
+        for b in made.values():
+            b.unpersist()
+        if owns:
+            mpt.unpersist()
+
+
+def block_pass(blocks: RDD, bc, task) -> RDD:
+    """The lazy pass ``task(bc.value, *block)`` over every block."""
+    return blocks.map(lambda block: task(bc.value, *block))
+
+
+def collect(rdd: RDD) -> list:
+    """``rdd.collect()``, raising a failed task as ``PythonException`` with
+    the task's traceback (an RDD action raises ``Py4JJavaError``)."""
+    try:
+        return rdd.collect()
+    except Py4JJavaError as exc:
+        cause = exc.java_exception.getCause()
+        python = "org.apache.spark.api.python.PythonException"
+        if cause is None or cause.getClass().getName() != python:
+            raise
+        raise PythonException(cause.getMessage()) from None
+
+
+def run_pass(blocks: RDD, state, task) -> list:
+    """Broadcast ``state``, collect ``block_pass`` of ``task``, and release
+    the broadcast in ``finally``, so a raising task leaks nothing."""
+    bc = blocks.context.broadcast(state)
+    try:
+        return collect(block_pass(blocks, bc, task))
     finally:
         bc.unpersist()
 
 
-def assemble_factor(
-    collected: pd.DataFrame, dim: int, rank: int
-) -> np.ndarray:
-    """Driver-side assembly of a dim×rank factor from collected (i, row) pairs.
+def assemble_factor(parts: list, dim: int, rank: int) -> np.ndarray:
+    """Driver-side dim×rank factor from collected ``(indices, rows, ...)``.
 
     Unobserved rows stay zero, matching Eq. 10 with B = c = 0.
     """
     out = np.zeros((dim, rank), dtype=np.float64)
-    if len(collected):
-        out[collected["i"].to_numpy(np.int64)] = np.stack(
-            collected["row"].to_numpy()
-        )
+    for indices, rows, *_ in parts:
+        out[indices] = rows
     return out
 
 

@@ -245,7 +245,8 @@ def test_failed_baseline_pass_releases_broadcasts(
 ):
     """A bad entry (mode-1 index ≥ I_1 or −1, or a NaN value) makes the
     first pass's tasks raise ``check_entries``'s ValueError; every
-    broadcast the run made is unpersisted anyway."""
+    broadcast the run made is unpersisted anyway, and so are its views
+    and blocks."""
     from pyspark import Broadcast
     from pyspark.errors import PythonException
 
@@ -270,7 +271,10 @@ def test_failed_baseline_pass_releases_broadcasts(
         idx[0, 1] = t.shape[1] if bad == "past_end" else -1
     message = "non-finite" if bad == "nan" else "out of bounds"
     df = spark_entries_from_coo(spark, idx, vals)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
     with pytest.raises(PythonException, match=f"ValueError: .*{message}"):
         factorize(spark, df, t.shape, (2, 2, 2), max_iters=1)
     assert made
     assert {id(b) for b in released} == {id(b) for b in made}
+    assert persistent().size() == before

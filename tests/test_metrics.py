@@ -7,6 +7,7 @@ from repro.core.delta import predictions
 from repro.synth_data import lowrank_tensor, sparse_tensor_uniform
 from repro.tensor.linalg import init_factors
 from repro.tensor.ops import reconstruct_dense
+from repro.tensor.spark_tensor import to_blocks
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ def test_rmse_definition(setup):
 def test_spark_reconstruction_error_matches(spark, setup):
     t, core, factors = setup
     got = metrics.spark_reconstruction_error(
-        t.to_spark(spark), t.shape, core, factors
+        to_blocks(t.to_spark(spark)), core, factors
     )
     want = metrics.reconstruction_error(t, core, factors)
     assert got == pytest.approx(want, rel=1e-9)

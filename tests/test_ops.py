@@ -120,11 +120,14 @@ def test_core_from_factors_matches_dense(spark, shape):
     """G = X ×_n A^(n)T for all n: the baselines' distributed core update
     (Algorithm 1 line 7) vs the dense n-mode products."""
     from repro.baselines.common import spark_core_update
+    from repro.tensor.spark_tensor import to_blocks
 
     x = _rand_dense(shape)
     t = from_dense(x, keep_zeros=True)
     factors = [_rand_dense((i, 2), seed=30 + k) for k, i in enumerate(shape)]
-    got = spark_core_update(t.to_spark(spark), factors, (2,) * len(shape))
+    got = spark_core_update(
+        to_blocks(t.to_spark(spark)), factors, (2,) * len(shape)
+    )
     want = ops.multi_mode_product(x, [f.T for f in factors])
     np.testing.assert_allclose(got, want, atol=1e-10)
 

@@ -19,8 +19,11 @@ from repro.synth_data import lowrank_tensor
 from repro.tensor.linalg import init_factors
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
-    map_entries,
+    assemble_factor,
+    block_pass,
+    collect,
     spark_entries_from_coo,
+    to_blocks,
 )
 
 
@@ -70,9 +73,9 @@ def test_mpt_partitioning_groups_rows(spark, tensor, mpt):
     assert owners["i"].is_unique
 
 
-def test_map_entries_runs_only_on_non_empty_partitions(spark):
-    """3 distinct keys on 8 partitions: ``task`` sees only non-empty
-    partitions, decoded into (idx, vals), with the extra ``pres`` column."""
+def test_block_pass_runs_only_on_non_empty_partitions(spark):
+    """3 distinct keys on 8 partitions: ``task`` runs once per non-empty
+    partition, on its (idx, vals) block, and never on an empty block."""
     from pyspark.sql import functions as F
 
     pdf = pd.DataFrame(
@@ -80,29 +83,63 @@ def test_map_entries_runs_only_on_non_empty_partitions(spark):
             "i0": [0, 1, 2, 0, 1, 2, 2],
             "i1": [5, 6, 7, 8, 9, 10, 11],
             "val": np.arange(7.0),
-            "pres": [[float(k), 1.0] for k in range(7)],
         }
     )
     df = spark.createDataFrame(pdf).repartition(8, "i0")
     non_empty = df.select(F.spark_partition_id()).distinct().count()
     bc = spark.sparkContext.broadcast(10.0)
 
-    def task(state, idx, vals, batch):
-        pres = np.stack(batch["pres"].to_numpy())
-        np.testing.assert_array_equal(pres[:, 0], vals)
+    def task(state, idx, vals):
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
         np.testing.assert_array_equal(idx[:, 1] - 5, vals)
-        yield pd.DataFrame(
-            {"n": [len(vals)], "order": [idx.shape[1]], "s": [state * pres.sum()]}
-        )
+        return len(vals), idx.shape[1], state * vals.sum()
 
     try:
-        out = map_entries(df, bc, task, "n long, order long, s double").toPandas()
+        out = collect(block_pass(to_blocks(df), bc, task))
     finally:
         bc.unpersist()
     assert len(out) == non_empty < 8
-    assert (out["n"] > 0).all() and out["n"].sum() == 7
-    assert (out["order"] == 2).all()
-    assert out["s"].sum() == pytest.approx(10.0 * (21.0 + 7.0))
+    n, order, s = map(np.array, zip(*out))
+    assert (n > 0).all() and n.sum() == 7
+    assert (order == 2).all()
+    assert s.sum() == pytest.approx(10.0 * 21.0)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_blocks_hold_exactly_their_view_partition(spark, order):
+    """Block p of converted view n is view n's partition p, entries in
+    order, so every row group is complete; with 3 keys per mode on 8
+    partitions most partitions are empty and have no block."""
+    from pyspark.sql import functions as F
+
+    rng = np.random.default_rng(order)
+    idx = rng.integers(0, 3, size=(60, order))
+    t_df = spark_entries_from_coo(spark, idx, rng.standard_normal(60))
+    m = ModePartitionedTensor(t_df, (3,) * order, partitions=8)
+    try:
+        for n in range(order):
+            view = m.view(n)
+            want = (
+                view.withColumn("p", F.spark_partition_id())
+                .toPandas()
+                .groupby("p")
+            )
+            got = (
+                to_blocks(view)
+                .mapPartitionsWithIndex(lambda p, bs: [(p, b) for b in bs])
+                .collect()
+            )
+            assert sorted(p for p, _ in got) == sorted(want.groups)
+            for p, (b_idx, b_vals) in got:
+                part = want.get_group(p)
+                np.testing.assert_array_equal(
+                    b_idx, part[[f"i{k}" for k in range(order)]].to_numpy()
+                )
+                np.testing.assert_array_equal(b_vals, part["val"].to_numpy())
+            owners = [set(b_idx[:, n]) for _, (b_idx, _) in got]
+            assert sum(map(len, owners)) == len(set().union(*owners)) == 3
+    finally:
+        m.unpersist()
 
 
 def test_spark_matches_reference_default(spark, tensor, mpt):
@@ -196,24 +233,25 @@ def test_spark_error_monotone(spark, tensor, mpt):
 
 
 def test_assemble_factor_zero_fills():
-    collected = pd.DataFrame(
-        {"i": [1, 3], "row": [np.array([1.0, 2.0]), np.array([3.0, 4.0])]}
-    )
-    out = ptucker.assemble_factor(collected, 5, 2)
+    collected = [
+        (np.array([1]), np.array([[1.0, 2.0]]), None, None),
+        (np.array([3]), np.array([[3.0, 4.0]]), 0.5, None),
+    ]
+    out = assemble_factor(collected, 5, 2)
     np.testing.assert_allclose(out[1], [1, 2])
     np.testing.assert_allclose(out[3], [3, 4])
     np.testing.assert_allclose(out[[0, 2, 4]], 0.0)
 
 
 def test_assemble_factor_empty():
-    out = ptucker.assemble_factor(pd.DataFrame({"i": [], "row": []}), 4, 3)
+    out = assemble_factor([], 4, 3)
     np.testing.assert_allclose(out, np.zeros((4, 3)))
 
 
 def test_spark_sse_matches_numpy(spark, tensor, mpt):
     factors, core = init_factors(tensor.shape, (3, 3, 3), seed=0)
     bc = spark.sparkContext.broadcast((core, factors, None))
-    got = ptucker.spark_sse(mpt.view(0), bc, 3)
+    got = ptucker.spark_sse(to_blocks(mpt.view(0)), bc)
     bc.unpersist()
     want = reconstruction_error(tensor, core, factors) ** 2
     assert got == pytest.approx(want, rel=1e-9)
@@ -222,7 +260,7 @@ def test_spark_sse_matches_numpy(spark, tensor, mpt):
 def test_spark_reconstruction_error_matches_numpy(spark, tensor):
     factors, core = init_factors(tensor.shape, (3, 3, 3), seed=1)
     got = spark_reconstruction_error(
-        tensor.to_spark(spark), tensor.shape, core, factors
+        to_blocks(tensor.to_spark(spark)), core, factors
     )
     want = reconstruction_error(tensor, core, factors)
     assert got == pytest.approx(want, rel=1e-9)
@@ -328,11 +366,12 @@ def test_iteration_is_one_job_per_mode(spark, own_mpt, variant):
 
 
 def test_cache_iteration_passes(spark, own_mpt, monkeypatch):
-    """Cache: no count(), and one shuffle per mode for modes 1..N-1.
+    """Cache: no count(), one job per mode, and one shuffle per mode for
+    modes 1..N-1.
 
-    Mode 0 reads the i0-partitioned view: one job. Under adaptive query
-    execution each later mode runs three: a check of the persisted
-    previous output, the shuffle map stage and the result stage.
+    Mode 0 reads the blocks of the i0-partitioned view. Each later mode's
+    job reshuffles the previous mode's persisted blocks (its shuffle map
+    stage) and updates the rows (its result stage).
     """
     counted = []
     cls = type(own_mpt.view(0))
@@ -343,7 +382,7 @@ def test_cache_iteration_passes(spark, own_mpt, monkeypatch):
     )
     assert counted == []
     assert shuffles == 2
-    assert jobs == 1 + 3 * 2
+    assert jobs == 3
 
 
 def _factorize_with_bad_index(spark, variant, bad_index):
