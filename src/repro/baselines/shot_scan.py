@@ -28,6 +28,11 @@ from repro.tensor.spark_tensor import ModePartitionedTensor
 _SCAN_ROWS = 256
 
 
+def scan_bytes(k_cols: int) -> int:
+    """Per-task intermediates for a K-column Y_(n): Gram + one scan window."""
+    return (k_cols * k_cols + _SCAN_ROWS * k_cols) * 8
+
+
 def factorize_shot(
     spark: SparkSession,
     entries: DataFrame | ModePartitionedTensor,
@@ -42,10 +47,8 @@ def factorize_shot(
     """Run the S-HOT_scan-like Tucker-ALS on Spark."""
 
     def updater(n, blocks, factors):
-        k_cols = y_cols(factors, n)
-        # Scan-bounded intermediates: Gram + one scan window per task.
         ensure_budget(
-            (k_cols * k_cols + _SCAN_ROWS * k_cols) * 8,
+            scan_bytes(y_cols(factors, n)),
             mem_budget,
             f"S-HOT scan window for mode {n}",
         )

@@ -27,6 +27,12 @@ from repro.baselines.common import (
 from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
+def materialized_bytes(dim: int, k_cols: int) -> int:
+    """Materialized Y_(n) rows: all local blocks together span the observed
+    rows of the mode (≤ I_n) — Table III's O(I·J^{N-1})."""
+    return dim * k_cols * 8
+
+
 def factorize_csf(
     spark: SparkSession,
     entries: DataFrame | ModePartitionedTensor,
@@ -41,10 +47,8 @@ def factorize_csf(
     """Run the Tucker-CSF-like Tucker-ALS on Spark."""
 
     def updater(n, blocks, factors):
-        # Materialized-rows footprint: all local Y blocks together span
-        # the observed rows of mode n (≤ I_n) — Table III's O(I·J^{N-1}).
         ensure_budget(
-            shape[n] * y_cols(factors, n) * 8,
+            materialized_bytes(shape[n], y_cols(factors, n)),
             mem_budget,
             f"Tucker-CSF materialized Y_({n}) rows",
         )

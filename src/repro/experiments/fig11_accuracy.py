@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.baselines import factorize_csf, factorize_shot, factorize_wopt
-from repro.core.config import PTuckerConfig
 from repro.core.metrics import reconstruction_error, rmse
-from repro.core.ptucker import factorize as factorize_ptucker
-from repro.experiments.fig7_realworld import WOPT_BUDGET, datasets
-from repro.experiments.harness import OOM, run_timed
-from repro.tensor.spark_tensor import ModePartitionedTensor
+from repro.experiments.fig7_realworld import COMPARED, WOPT_BUDGET, datasets
+from repro.experiments.harness import OOM, run_methods
 
 
 def accuracy_eval(
@@ -30,73 +26,26 @@ def accuracy_eval(
     rows = []
     for name, tensor, ranks in datasets(scale):
         train, test = tensor.split(test_frac, seed=1234)
-        mpt = ModePartitionedTensor(train.to_spark(spark), train.shape)
-        try:
-            for label, variant in (
-                ("P-Tucker", "default"),
-                ("P-Tucker-Approx", "approx"),
-            ):
-                cfg = PTuckerConfig(
-                    ranks=ranks, max_iters=iters, tol=1e-4, variant=variant
-                )
-                res = factorize_ptucker(spark, mpt, train.shape, cfg)
-                rows.append(
-                    {
-                        "dataset": name,
-                        "method": label,
-                        "recon error": reconstruction_error(
-                            train, res.core, res.factors
-                        ),
-                        "test RMSE": rmse(test, res.core, res.factors),
-                    }
-                )
-            for label, fn in (
-                ("S-HOT", factorize_shot),
-                ("Tucker-CSF", factorize_csf),
-            ):
-                res, t = run_timed(
-                    lambda: fn(
-                        spark,
-                        mpt,
-                        train.shape,
-                        ranks,
-                        max_iters=iters,
-                        tol=1e-4,
-                    )
-                )
-                rows.append(
-                    {
-                        "dataset": name,
-                        "method": label,
-                        "recon error": OOM
-                        if t == OOM
-                        else reconstruction_error(train, res.core, res.factors),
-                        "test RMSE": OOM
-                        if t == OOM
-                        else rmse(test, res.core, res.factors),
-                    }
-                )
-            res, t = run_timed(
-                lambda: factorize_wopt(
-                    train,
-                    ranks,
-                    max_iters=iters,
-                    tol=1e-4,
-                    mem_budget=WOPT_BUDGET,
-                )
-            )
+        results = run_methods(
+            spark,
+            train,
+            ranks,
+            COMPARED,
+            iters=iters,
+            tol=1e-4,
+            wopt_budget=WOPT_BUDGET,
+        )
+        for label, res in results:
             rows.append(
                 {
                     "dataset": name,
-                    "method": "Tucker-wOPT",
+                    "method": label,
                     "recon error": OOM
-                    if t == OOM
+                    if res is None
                     else reconstruction_error(train, res.core, res.factors),
                     "test RMSE": OOM
-                    if t == OOM
+                    if res is None
                     else rmse(test, res.core, res.factors),
                 }
             )
-        finally:
-            mpt.unpersist()
     return rows

@@ -17,21 +17,13 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.baselines import (
-    factorize_csf,
-    factorize_shot,
-    factorize_wopt,
-)
-from repro.core.config import PTuckerConfig
-from repro.core.ptucker import factorize as factorize_ptucker
-from repro.experiments.harness import OOM, mean_iter_time_or_oom, run_timed
+from repro.experiments.harness import mean_iter_time_or_oom, run_methods
 from repro.synth_data import sparse_tensor_uniform
-from repro.tensor.spark_tensor import ModePartitionedTensor
 
 # Scaled-down analogue of the paper's 512 GB box for the dense baseline.
 WOPT_BUDGET = 4 * 10**9
 
-METHODS = ("P-Tucker", "S-HOT", "Tucker-CSF", "Tucker-wOPT")
+COMPARED = ("P-Tucker", "S-HOT", "Tucker-CSF", "Tucker-wOPT")
 
 
 def _run_point(
@@ -40,48 +32,18 @@ def _run_point(
     ranks: tuple[int, ...],
     iters: int,
     wopt_budget: int | None = None,
-    methods: tuple[str, ...] = METHODS,
 ) -> dict:
     """Time every method on one sweep point; returns {method: s/iter}."""
-    out: dict = {}
-    if wopt_budget is None:
-        wopt_budget = WOPT_BUDGET
-    mpt = ModePartitionedTensor(tensor.to_spark(spark), tensor.shape)
-    try:
-        if "P-Tucker" in methods:
-            cfg = PTuckerConfig(ranks=ranks, max_iters=iters, tol=0.0, seed=0)
-            res, _ = run_timed(
-                lambda: factorize_ptucker(spark, mpt, tensor.shape, cfg)
-            )
-            out["P-Tucker"] = mean_iter_time_or_oom(res)
-        if "S-HOT" in methods:
-            res, t = run_timed(
-                lambda: factorize_shot(
-                    spark, mpt, tensor.shape, ranks, max_iters=iters, tol=0.0
-                )
-            )
-            out["S-HOT"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-        if "Tucker-CSF" in methods:
-            res, t = run_timed(
-                lambda: factorize_csf(
-                    spark, mpt, tensor.shape, ranks, max_iters=iters, tol=0.0
-                )
-            )
-            out["Tucker-CSF"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-        if "Tucker-wOPT" in methods:
-            res, t = run_timed(
-                lambda: factorize_wopt(
-                    tensor,
-                    ranks,
-                    max_iters=iters,
-                    tol=0.0,
-                    mem_budget=wopt_budget,
-                )
-            )
-            out["Tucker-wOPT"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-    finally:
-        mpt.unpersist()
-    return out
+    results = run_methods(
+        spark,
+        tensor,
+        ranks,
+        COMPARED,
+        iters=iters,
+        tol=0.0,
+        wopt_budget=WOPT_BUDGET if wopt_budget is None else wopt_budget,
+    )
+    return {name: mean_iter_time_or_oom(res) for name, res in results}
 
 
 def order_sweep(

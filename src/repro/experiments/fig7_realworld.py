@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.baselines import factorize_csf, factorize_shot, factorize_wopt
-from repro.core.config import PTuckerConfig
-from repro.core.ptucker import factorize as factorize_ptucker
-from repro.experiments.harness import OOM, mean_iter_time_or_oom, run_timed
+from repro.experiments.harness import mean_iter_time_or_oom, run_methods
 from repro.synth_data import (
     image_like,
     movielens_scaled,
     video_like,
     yahoo_music_scaled,
 )
-from repro.tensor.spark_tensor import ModePartitionedTensor
 
 # Scaled analogue of the paper's 512 GB for the real-world stand-ins: the
 # rating tensors are scaled down harder than the synthetic sweeps, so the
@@ -28,6 +24,8 @@ from repro.tensor.spark_tensor import ModePartitionedTensor
 # (dense ≥ 1.9 GB) and run on Video*/Image* (dense ≤ 70 MB), reproducing
 # the paper's Fig 7/11 O.O.M. pattern.
 WOPT_BUDGET = 10**9
+
+COMPARED = ("P-Tucker", "P-Tucker-Approx", "S-HOT", "Tucker-CSF", "Tucker-wOPT")
 
 
 def datasets(scale: float = 1.0) -> list[tuple[str, object, tuple[int, ...]]]:
@@ -58,41 +56,17 @@ def realworld_speed(
     """Seconds/iteration per method per stand-in dataset."""
     rows = []
     for name, tensor, ranks in datasets(scale):
-        mpt = ModePartitionedTensor(tensor.to_spark(spark), tensor.shape)
-        row: dict = {"dataset": name, "nnz": tensor.nnz}
-        try:
-            for variant in ("default", "approx"):
-                cfg = PTuckerConfig(
-                    ranks=ranks, max_iters=iters, tol=0.0, variant=variant
-                )
-                res, _ = run_timed(
-                    lambda: factorize_ptucker(spark, mpt, tensor.shape, cfg)
-                )
-                label = "P-Tucker" if variant == "default" else "P-Tucker-Approx"
-                row[label] = mean_iter_time_or_oom(res)
-            res, t = run_timed(
-                lambda: factorize_shot(
-                    spark, mpt, tensor.shape, ranks, max_iters=iters, tol=0.0
-                )
-            )
-            row["S-HOT"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-            res, t = run_timed(
-                lambda: factorize_csf(
-                    spark, mpt, tensor.shape, ranks, max_iters=iters, tol=0.0
-                )
-            )
-            row["Tucker-CSF"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-            res, t = run_timed(
-                lambda: factorize_wopt(
-                    tensor,
-                    ranks,
-                    max_iters=iters,
-                    tol=0.0,
-                    mem_budget=WOPT_BUDGET,
-                )
-            )
-            row["Tucker-wOPT"] = mean_iter_time_or_oom(res) if t != OOM else OOM
-        finally:
-            mpt.unpersist()
-        rows.append(row)
+        results = run_methods(
+            spark,
+            tensor,
+            ranks,
+            COMPARED,
+            iters=iters,
+            tol=0.0,
+            wopt_budget=WOPT_BUDGET,
+        )
+        rows.append(
+            {"dataset": name, "nnz": tensor.nnz}
+            | {label: mean_iter_time_or_oom(res) for label, res in results}
+        )
     return rows

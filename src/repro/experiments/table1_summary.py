@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.shot_scan import scan_bytes
+from repro.baselines.tucker_csf import materialized_bytes
+from repro.core.cache import default_intermediate_bytes
 from repro.experiments.harness import OOM
 
 SPEED_FACTOR = 3.0
@@ -34,14 +37,18 @@ def intermediate_bytes(
     order: int,
     threads: int,
 ) -> float:
-    """Table III memory classes, instantiated at a sweep point."""
+    """Table III memory classes, instantiated at a sweep point.
+
+    Each comes from the footprint its method's budget guard enforces,
+    except wOPT's: the class O(I^N), not the guard's 4·I^N + … working set.
+    """
     j_rest = rank ** (order - 1)
     if method == "P-Tucker":
-        return threads * (2 * rank * rank + 2 * rank) * 8
+        return default_intermediate_bytes(threads, rank)
     if method == "S-HOT":
-        return (j_rest * j_rest + 256 * j_rest) * 8
+        return scan_bytes(j_rest)
     if method == "Tucker-CSF":
-        return i_dim * j_rest * 8
+        return materialized_bytes(i_dim, j_rest)
     if method == "Tucker-wOPT":
         return float(i_dim) ** order * 8
     raise ValueError(method)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cache import pres_bytes
 from repro.experiments.harness import OOM
 from repro.experiments.table1_summary import intermediate_bytes
 
@@ -82,7 +83,7 @@ def memory_class_table(
         ("Tucker-wOPT", "O(I^N) dense"),
     ):
         if method == "P-Tucker-Cache":
-            b = nnz * rank**order * 8
+            b = pres_bytes(nnz, (rank,) * order)
         elif method == "P-Tucker-Approx":
             b = rank**order * 8
         else:

@@ -9,21 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def solve_row(b_mat: np.ndarray, c_vec: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form row update (Eq. 10): c · (B + λI)^{-1}.
-
-    ``B + λI`` is symmetric positive-definite for λ>0 (Theorem 1), so a
-    direct solve of the transposed system is exact and cheaper than an
-    explicit inverse: row = solve(B + λI, c) by symmetry.
-    """
-    j = b_mat.shape[0]
-    return np.linalg.solve(b_mat + lam * np.eye(j), c_vec)
-
-
 def solve_rows_batched(
     b_mats: np.ndarray, c_vecs: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Batched Eq. 10 over R rows: b_mats (R,J,J), c_vecs (R,J) -> (R,J)."""
+    """Batched Eq. 10 over R rows: b_mats (R,J,J), c_vecs (R,J) -> (R,J).
+
+    Row r is c_r · (B_r + λI)^{-1} = solve(B_r + λI, c_r), as B + λI is
+    symmetric positive-definite for λ>0 (Theorem 1).
+    """
     j = b_mats.shape[-1]
     lhs = b_mats + lam * np.eye(j)[None, :, :]
     return np.linalg.solve(lhs, c_vecs[..., None])[..., 0]

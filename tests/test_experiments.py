@@ -47,6 +47,32 @@ def test_run_timed_oom():
     assert out is None and t == OOM
 
 
+def test_run_methods_oom_is_none_and_errors_release_views(spark, monkeypatch):
+    """A simulated O.O.M. becomes a None result; any other error propagates.
+    Either way the shared views are released."""
+    from repro.baselines.common import SimulatedOOM
+    from repro.synth_data import sparse_tensor_uniform
+
+    def oom(*args):
+        raise SimulatedOOM("x")
+
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(harness.METHODS, "S-HOT", oom)
+    monkeypatch.setitem(harness.METHODS, "Tucker-CSF", fail)
+    t = sparse_tensor_uniform(shape=(6, 5, 4), nnz=30, seed=0)
+    kw = dict(iters=1, tol=0.0, wopt_budget=10**9)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    out = harness.run_methods(spark, t, (2, 2, 2), ("S-HOT",), **kw)
+    assert out == [("S-HOT", None)]
+    assert persistent().size() == before
+    with pytest.raises(RuntimeError, match="boom"):
+        harness.run_methods(spark, t, (2, 2, 2), ("S-HOT", "Tucker-CSF"), **kw)
+    assert persistent().size() == before
+
+
 def test_order_sweep_tiny(spark):
     rows = order_sweep(
         spark, orders=(3, 4), i_dim=15, nnz=120, rank=2, iters=1
@@ -69,6 +95,8 @@ def test_order_sweep_wopt_ooms_at_higher_order(spark):
         iters=1,
         wopt_budget=5 * 15**3 * 8 + 10_000,
     )
+    for row in rows:
+        assert list(row) == ["order", "P-Tucker", "S-HOT", "Tucker-CSF", "Tucker-wOPT"]
     assert isinstance(rows[0]["Tucker-wOPT"], float)
     assert rows[1]["Tucker-wOPT"] == OOM
 
@@ -93,6 +121,15 @@ def test_realworld_speed_tiny(spark):
     rows = realworld_speed(spark, iters=1, scale=0.02)
     assert len(rows) == 4
     for r in rows:
+        assert list(r) == [
+            "dataset",
+            "nnz",
+            "P-Tucker",
+            "P-Tucker-Approx",
+            "S-HOT",
+            "Tucker-CSF",
+            "Tucker-wOPT",
+        ]
         assert isinstance(r["P-Tucker"], float)
         assert isinstance(r["P-Tucker-Approx"], float)
 
@@ -127,8 +164,17 @@ def test_thread_scalability_tiny(spark):
 
 def test_accuracy_eval_tiny(spark):
     rows = accuracy_eval(spark, iters=2, scale=0.02)
-    methods = {r["method"] for r in rows}
-    assert {"P-Tucker", "S-HOT", "Tucker-CSF"} <= methods
+    methods = [
+        "P-Tucker",
+        "P-Tucker-Approx",
+        "S-HOT",
+        "Tucker-CSF",
+        "Tucker-wOPT",
+    ]
+    datasets = ["Yahoo-music*", "MovieLens*", "Video*", "Image*"]
+    assert [(r["dataset"], r["method"]) for r in rows] == [
+        (d, m) for d in datasets for m in methods
+    ]
     pt = [r for r in rows if r["method"] == "P-Tucker"]
     assert all(isinstance(r["test RMSE"], float) for r in pt)
 
@@ -141,6 +187,8 @@ def test_intermediate_bytes_ordering():
     cs = intermediate_bytes("Tucker-CSF", **kw)
     wo = intermediate_bytes("Tucker-wOPT", **kw)
     assert pt < sh < cs < wo
+    # T·(2J² + 2J)·8, (K² + 256·K)·8 with K = J^{N-1}, I·K·8, I^N·8
+    assert (pt, sh, cs, wo) == (28_160, 284_800, 80_000_000, 8e15)
 
 
 def test_derive_summary_shapes():
@@ -211,6 +259,14 @@ def test_memory_class_table_rows():
     by = {r["Method"]: r["Bytes @ point"] for r in rows}
     assert by["P-Tucker"] < by["P-Tucker-Cache"]
     assert by["P-Tucker-Approx"] < by["P-Tucker-Cache"]
+    assert by == {
+        "P-Tucker": 28_160,
+        "P-Tucker-Cache": 8_000_000_000,  # |Ω|·J^N·8
+        "P-Tucker-Approx": 8_000,
+        "S-HOT": 284_800,
+        "Tucker-CSF": 80_000_000,
+        "Tucker-wOPT": 8e15,
+    }
 
 
 def test_dataset_table_matches_paper_rows():

@@ -1,7 +1,5 @@
 """Unit tests for the experiment harness utilities."""
-import pytest
-
-from repro.experiments.harness import OOM, fmt, format_table, run_timed, speedup_over
+from repro.experiments.harness import fmt, format_table, run_timed
 
 
 def test_fmt_float_sig_figs():
@@ -19,14 +17,6 @@ def test_run_timed_returns_elapsed():
     out, t = run_timed(lambda: 42)
     assert out == 42
     assert isinstance(t, float) and t >= 0
-
-
-def test_speedup_over_annotates():
-    rows = [{"t": 2.0}, {"t": 4.0}, {"t": OOM}]
-    speedup_over(rows, "t", 4.0)
-    assert rows[0]["speedup"] == pytest.approx(2.0)
-    assert rows[1]["speedup"] == pytest.approx(1.0)
-    assert rows[2]["speedup"] == ""
 
 
 def test_format_table_column_selection():

@@ -17,14 +17,14 @@ def test_solve_row_matches_inverse(j):
     b = _spd(j)
     c = np.random.default_rng(1).standard_normal(j)
     lam = 0.01
-    got = linalg.solve_row(b, c, lam)
+    got = linalg.solve_rows_batched(b[None], c[None], lam)[0]
     want = c @ np.linalg.inv(b + lam * np.eye(j))
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_solve_row_zero_b_is_zero():
     """B = c = 0 (unobserved row) must give the zero row (Eq. 10)."""
-    got = linalg.solve_row(np.zeros((3, 3)), np.zeros(3), 0.01)
+    got = linalg.solve_rows_batched(np.zeros((1, 3, 3)), np.zeros((1, 3)), 0.01)
     np.testing.assert_allclose(got, 0.0)
 
 
@@ -36,7 +36,7 @@ def test_solve_rows_batched_matches_loop(r, j):
     got = linalg.solve_rows_batched(bs, cs, 0.1)
     for i in range(r):
         np.testing.assert_allclose(
-            got[i], linalg.solve_row(bs[i], cs[i], 0.1), atol=1e-10
+            got[i], np.linalg.solve(bs[i] + 0.1 * np.eye(j), cs[i]), atol=1e-10
         )
 
 

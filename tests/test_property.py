@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core import delta as dm
 from repro.tensor import ops
-from repro.tensor.linalg import solve_row
+from repro.tensor.linalg import solve_rows_batched
 
 shapes = st.lists(st.integers(2, 5), min_size=2, max_size=4).map(tuple)
 
@@ -40,7 +40,7 @@ def test_solve_row_solves_regularized_system(seed, j):
     b = a @ a.T
     c = g.standard_normal(j)
     lam = 0.1
-    row = solve_row(b, c, lam)
+    row = solve_rows_batched(b[None], c[None], lam)[0]
     np.testing.assert_allclose(row @ (b + lam * np.eye(j)), c, atol=1e-8)
 
 
