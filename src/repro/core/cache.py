@@ -16,15 +16,17 @@ task does Algorithm 3's per-thread work for the rows it owns:
    returns its partial SSE (Eq. 6) instead, since no later mode reads
    Pres.
 
-``cache_passes`` supplies this step to ``ptucker``'s ALS loop, which all
-three variants share. A task returns its ``(indices, rows, sse, r)`` and
-its rescaled ``(idx, vals, pres)`` block. The Spark driver persists that
-output and collects only the row tuples, which also materializes it; the
-next mode's job splits each persisted block by the owner ``i_n mod P``
-of its entries, shuffles the pieces with ``partitionBy`` and concatenates
-each partition's pieces into one block. This deliberately materializes
-and shuffles the O(|Ω|·J^N) state — the exact time-for-memory trade the
-paper measures in Fig. 8.
+``cache_passes`` supplies this step to ``ptucker``'s ALS loop, which
+every engine shares; the reference engine runs the same ``_mode_task``
+in-process on one block of every entry, carrying its output block into
+the next mode. A task returns its ``(indices, rows, sse, r)`` and its
+rescaled ``(idx, vals, pres)`` block. The Spark step broadcasts the
+model state, persists that output and collects only the row tuples,
+which also materializes it; the next mode's job splits each persisted
+block by the owner ``i_n mod P`` of its entries, shuffles the pieces
+with ``partitionBy`` and concatenates each partition's pieces into one
+block. This deliberately materializes and shuffles the O(|Ω|·J^N) state
+— the exact time-for-memory trade the paper measures in Fig. 8.
 """
 from __future__ import annotations
 
@@ -101,8 +103,9 @@ def cache_passes(
     Mode 0 reads the blocks of the ``i0``-partitioned view (repartitioned
     here from a raw DataFrame), converted by its first pass and persisted
     for the run; mode ``n > 0`` reads the previous mode's persisted output,
-    reshuffled by ``i_n``. Everything persisted here is released on exit,
-    a raising pass included.
+    reshuffled by ``i_n``. Each step releases its broadcast, and
+    everything persisted here is released on exit, a raising pass
+    included.
     """
     n_modes = len(shape)
     if isinstance(entries, ModePartitionedTensor):
@@ -116,16 +119,20 @@ def cache_passes(
     base = to_blocks(view).persist(StorageLevel.MEMORY_AND_DISK)
     prev = cur = None  # persisted outputs of the previous and this mode
 
-    def step(n: int, bc) -> list:
+    def step(n: int, state) -> list:
         nonlocal prev, cur
         blocks = base if n == 0 else _reshuffle(prev, n, partitions)
         last = n == n_modes - 1
-        cur = block_pass(blocks, bc, _mode_task(n, cfg.lam, last))
-        if not last:
-            cur.persist(StorageLevel.MEMORY_AND_DISK)
-        # Collecting the rows also materializes the persisted blocks, so
-        # the next mode's shuffle reads the cache.
-        collected = collect(cur.map(lambda o: o[:4]))
+        bc = base.context.broadcast(state)
+        try:
+            cur = block_pass(blocks, bc, _mode_task(n, cfg.lam, last))
+            if not last:
+                cur.persist(StorageLevel.MEMORY_AND_DISK)
+            # Collecting the rows also materializes the persisted blocks,
+            # so the next mode's shuffle reads the cache.
+            collected = collect(cur.map(lambda o: o[:4]))
+        finally:
+            bc.unpersist()
         if prev is not None:
             prev.unpersist()
         prev, cur = None if last else cur, None

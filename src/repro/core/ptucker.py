@@ -3,7 +3,7 @@
 The sparse tensor lives in Spark as N persisted views, view ``n`` hash-
 partitioned by the mode-n index (``ModePartitionedTensor``); a run reads
 them as persisted NumPy blocks (``spark_tensor.mode_blocks``). One mode
-update is a single ``block_pass`` action over the blocks of view ``n``:
+update is a single ``run_pass`` action over the blocks of view ``n``:
 each partition owns complete row groups Ω^(n)_{i_n}, vectorizes the
 δ/B/c accumulation with NumPy, solves the (B+λI) systems for its rows,
 and returns ``(indices, rows)``. The driver collects these (small)
@@ -11,10 +11,12 @@ tuples, assembles the new A^(n), and broadcasts the refreshed model
 state for the next mode — mirroring the paper's thread-parallel row
 distribution with Spark partitions as the unit of parallelism.
 
-All three variants run the one ALS loop ``_als``, which differs between
-them only in the per-mode step that returns the collected tuples:
-``_update_passes`` (default and Approx: δ from the broadcast core) or
-``cache.cache_passes`` (δ from the Pres table the blocks carry).
+Every engine runs the one ALS loop ``_als``, which differs between them
+only in the per-mode step that turns the model state into the collected
+tuples: ``_update_passes`` (default and Approx: δ from the broadcast
+core), ``cache.cache_passes`` (δ from the Pres table the blocks carry),
+or ``reference.factorize``'s step, which runs the same task in-process
+on one block holding every entry.
 
 The last mode's tasks also compute the iteration's reconstruction error
 (from the row update's own δ, X̂_α = δ_α·a_new) and, for Approx, R(β) on
@@ -47,6 +49,7 @@ from repro.tensor.spark_tensor import (
     block_pass,
     collect,
     mode_blocks,
+    run_pass,
 )
 
 
@@ -100,9 +103,9 @@ def _update_passes(
     last = len(shape) - 1
     with mode_blocks(entries, shape, cfg.partitions) as blocks:
 
-        def step(n: int, bc) -> list:
+        def step(n: int, state) -> list:
             task = _update_task(n, cfg.lam, n == last)
-            return collect(block_pass(blocks(n), bc, task))
+            return run_pass(blocks(n), state, task)
 
         yield step
 
@@ -145,24 +148,26 @@ def factorize(
     """Run P-Tucker (default, cache or approx variant) on Spark.
 
     Whatever a variant persists for the run (a view set built from a raw
-    DataFrame, Cache's Pres-carrying outputs) is released on every exit,
-    a raising pass included.
+    DataFrame, Cache's Pres-carrying outputs) and every broadcast is
+    released on every exit, a raising pass included. ``spark`` is unused:
+    the passes reach Spark through ``entries``.
     """
     if cfg.variant == "cache":
         from repro.core.cache import cache_passes as passes
     else:
         passes = _update_passes
     with passes(entries, shape, cfg) as step:
-        return _als(spark.sparkContext, step, shape, cfg)
+        return _als(step, shape, cfg)
 
 
-def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
-    """The ALS loop: N single-action mode updates per iteration.
+def _als(step, shape, cfg: PTuckerConfig) -> PTuckerResult:
+    """The ALS loop of every engine: N mode updates per iteration.
 
-    ``step(n, bc)`` runs mode ``n``'s update with the model broadcast as
-    ``bc`` = (core, factors, core_coo, rerror_core) and returns the
-    collected ``(indices, rows, sse, r)`` tuples, one per non-empty
-    partition; ``sse`` and ``r`` are set in the last mode only.
+    ``step(n, state)`` runs mode ``n``'s update on the model state
+    (core, factors, core_coo, rerror_core) and returns the collected
+    ``(indices, rows, sse, r, ...)`` tuples, one per non-empty partition;
+    ``sse`` and ``r`` are set in the last mode only. A Spark step owns the
+    broadcast of ``state`` and releases it, a raising pass included.
     """
     n_modes = len(shape)
     factors, core = init_factors(shape, cfg.ranks, cfg.seed)
@@ -180,7 +185,7 @@ def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
         # Switch to the COO kernels only once truncation has made the
-        # core genuinely sparse (same rule as the reference engine).
+        # core genuinely sparse.
         coo = None
         if cfg.variant == "approx" and use_sparse_core(
             len(core_vals), core.size
@@ -191,11 +196,7 @@ def _als(sc, step, shape, cfg: PTuckerConfig) -> PTuckerResult:
             rerror_core = None
             if cfg.variant == "approx" and n == n_modes - 1:
                 rerror_core = (core_idx, core_vals)
-            bc = sc.broadcast((core, factors, coo, rerror_core))
-            try:
-                out = step(n, bc)
-            finally:
-                bc.unpersist()
+            out = step(n, (core, factors, coo, rerror_core))
             factors[n] = assemble_factor(out, shape[n], cfg.ranks[n])
         # Error of the model before this iteration's truncation (Eq. 6).
         result.errors.append(float(np.sqrt(sum(o[2] for o in out))))

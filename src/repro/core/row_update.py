@@ -1,9 +1,11 @@
 """Row-wise ALS update kernel (Eq. 10-12) over a batch of entries.
 
-This is the per-partition work unit shared by the sequential reference
-engine and the Spark engines: given every observed entry whose mode-n
-index falls in this partition, accumulate B_{i_n} and c_{i_n} per row via
-segment reductions and solve the J×J regularized systems in a batch.
+This is the per-partition work unit of every P-Tucker engine's tasks
+(``ptucker._update_task``, ``cache._mode_task``), which the Spark engines
+run per partition and the sequential reference on one block of every
+entry: given every observed entry whose mode-n index falls in the block,
+accumulate B_{i_n} and c_{i_n} per row via segment reductions and solve
+the J×J regularized systems in a batch.
 """
 from __future__ import annotations
 

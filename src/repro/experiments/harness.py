@@ -1,4 +1,4 @@
-"""Shared experiment harness: method registry, timing, table rendering.
+"""Shared experiment harness: method registry and table rendering.
 
 Fig 6, 7 and 11 compare the same methods; ``METHODS`` says how each one
 is called and ``run_methods`` runs a list of them over one shared set of
@@ -9,7 +9,6 @@ budget are recorded as ``O.O.M.`` — the same presentation the paper uses.
 """
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from pyspark.sql import SparkSession
@@ -22,16 +21,6 @@ from repro.tensor.coo import CooTensor
 from repro.tensor.spark_tensor import ModePartitionedTensor
 
 OOM = "O.O.M."
-
-
-def run_timed(fn: Callable[[], Any]) -> tuple[Any, float | str]:
-    """Run ``fn``; return (result, wall seconds) or (None, "O.O.M.")."""
-    t0 = time.perf_counter()
-    try:
-        out = fn()
-    except SimulatedOOM:
-        return None, OOM
-    return out, time.perf_counter() - t0
 
 
 def mean_iter_time_or_oom(result_or_none) -> float | str:
@@ -93,10 +82,12 @@ def run_methods(
     results = []
     try:
         for name in names:
-            run = METHODS[name]
-            res, _ = run_timed(
-                lambda: run(spark, mpt, tensor, ranks, iters, tol, wopt_budget)
-            )
+            try:
+                res = METHODS[name](
+                    spark, mpt, tensor, ranks, iters, tol, wopt_budget
+                )
+            except SimulatedOOM:
+                res = None
             results.append((name, res))
     finally:
         mpt.unpersist()

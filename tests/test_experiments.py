@@ -37,16 +37,6 @@ def test_format_table_empty():
     assert "(no rows)" in format_table("X", [])
 
 
-def test_run_timed_oom():
-    from repro.baselines.common import SimulatedOOM
-
-    def boom():
-        raise SimulatedOOM("x")
-
-    out, t = harness.run_timed(boom)
-    assert out is None and t == OOM
-
-
 def test_run_methods_oom_is_none_and_errors_release_views(spark, monkeypatch):
     """A simulated O.O.M. becomes a None result; any other error propagates.
     Either way the shared views are released."""

@@ -1,5 +1,5 @@
 """Unit tests for the experiment harness utilities."""
-from repro.experiments.harness import fmt, format_table, run_timed
+from repro.experiments.harness import fmt, format_table
 
 
 def test_fmt_float_sig_figs():
@@ -11,12 +11,6 @@ def test_fmt_float_sig_figs():
 def test_fmt_passthrough():
     assert fmt("O.O.M.") == "O.O.M."
     assert fmt(7) == "7"
-
-
-def test_run_timed_returns_elapsed():
-    out, t = run_timed(lambda: 42)
-    assert out == 42
-    assert isinstance(t, float) and t >= 0
 
 
 def test_format_table_column_selection():

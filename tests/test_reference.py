@@ -234,3 +234,20 @@ def test_fit_metric_consistency(planted, planted_result):
     f1 = planted_result.fit(planted.norm())
     f2 = fit(planted, planted_result.core, planted_result.factors)
     assert f1 == pytest.approx(f2, rel=1e-6)
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_reference_runs_no_spark(planted, monkeypatch, variant):
+    """The reference shares the Spark engines' loop and tasks but makes no
+    broadcast and collects no RDD: its iteration times are kernel time
+    only (Table III's kernel slope excludes Spark orchestration)."""
+    from pyspark import RDD, SparkContext
+
+    def spark_call(*args, **kwargs):
+        raise AssertionError("the reference engine made a Spark call")
+
+    monkeypatch.setattr(SparkContext, "broadcast", spark_call)
+    monkeypatch.setattr(RDD, "collect", spark_call)
+    cfg = PTuckerConfig(ranks=(3, 3, 3), max_iters=2, tol=0.0, variant=variant)
+    res = reference.factorize(planted, cfg)
+    assert res.n_iters == 2

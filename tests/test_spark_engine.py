@@ -16,6 +16,7 @@ from repro.core.metrics import (
     spark_reconstruction_error,
 )
 from repro.synth_data import lowrank_tensor
+from repro.tensor.coo import CooTensor
 from repro.tensor.linalg import init_factors
 from repro.tensor.spark_tensor import (
     ModePartitionedTensor,
@@ -385,10 +386,29 @@ def test_cache_iteration_passes(spark, own_mpt, monkeypatch):
     assert jobs == 3
 
 
-def _factorize_with_bad_index(spark, variant, bad_index):
+def _record_broadcasts(spark, monkeypatch) -> tuple[list, list]:
+    """(made, released): every broadcast the driver makes from now on, and
+    every broadcast unpersisted."""
+    from pyspark import Broadcast
+
+    made, released = [], []
+    sc_cls = type(spark.sparkContext)
+    broadcast, unpersist = sc_cls.broadcast, Broadcast.unpersist
+    monkeypatch.setattr(
+        sc_cls, "broadcast", lambda sc, v: made.append(broadcast(sc, v)) or made[-1]
+    )
+    monkeypatch.setattr(
+        Broadcast,
+        "unpersist",
+        lambda b, *a, **k: released.append(b) or unpersist(b, *a, **k),
+    )
+    return made, released
+
+
+def _factorize_with_bad_index(spark, monkeypatch, variant, bad_index):
     """Factorize a tensor whose first entry has mode-0 index ``bad_index``;
-    the mode-0 tasks raise. Asserts that nothing persisted for the run
-    outlives it."""
+    the mode-0 tasks raise. Asserts that nothing persisted or broadcast
+    for the run outlives it."""
     t = lowrank_tensor(
         shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=7
     )
@@ -397,22 +417,67 @@ def _factorize_with_bad_index(spark, variant, bad_index):
     df = spark_entries_from_coo(spark, idx, t.vals)
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
+    made, released = _record_broadcasts(spark, monkeypatch)
     cfg = _cfg(ranks=(2, 2, 2), partitions=2, variant=variant)
     with pytest.raises(PythonException, match="out of bounds"):
         ptucker.factorize(spark, df, t.shape, cfg)
     assert persistent().size() == before
+    assert made
+    assert {id(b) for b in released} == {id(b) for b in made}
 
 
 @pytest.mark.parametrize("variant", ["default", "approx", "cache"])
-def test_failed_pass_releases_persisted_data(spark, variant):
+def test_failed_pass_releases_persisted_data(spark, monkeypatch, variant):
     """An index ≥ I raises, and nothing persisted for the run outlives it."""
-    _factorize_with_bad_index(spark, variant, 12)
+    _factorize_with_bad_index(spark, monkeypatch, variant, 12)
 
 
 @pytest.mark.parametrize("variant", ["default", "approx", "cache"])
-def test_negative_index_raises(spark, variant):
+def test_negative_index_raises(spark, monkeypatch, variant):
     """A negative index raises instead of wrapping to the last row."""
-    _factorize_with_bad_index(spark, variant, -1)
+    _factorize_with_bad_index(spark, monkeypatch, variant, -1)
+
+
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_run_releases_broadcasts(spark, own_mpt, monkeypatch, variant):
+    """A successful run broadcasts the model once per mode and unpersists
+    every broadcast it made."""
+    made, released = _record_broadcasts(spark, monkeypatch)
+    cfg = _cfg(variant=variant, max_iters=1)
+    ptucker.factorize(spark, own_mpt, own_mpt.shape, cfg)
+    assert len(made) == 3
+    assert {id(b) for b in released} == {id(b) for b in made}
+
+
+_EDGES = {
+    "order2": ((20, 15), (2, 3), 120),
+    "order5": ((6, 5, 4, 4, 3), (2, 2, 1, 2, 2), 400),
+    "rank1": ((16, 12, 10), (1, 1, 1), 300),
+    "duplicates": ((16, 12, 10), (2, 2, 2), 300),
+}
+
+
+@pytest.mark.parametrize(
+    "edge, variant",
+    [
+        pytest.param(e, v, id=f"{e}-{v}")
+        for e, v in itertools.product(_EDGES, ("default", "approx", "cache"))
+    ],
+)
+def test_spark_matches_reference_edge_shapes(spark, edge, variant):
+    """Spark == reference at order 2, order 5, rank 1, and with duplicate
+    coordinates (each copy is its own observation in every engine)."""
+    shape, ranks, nnz = _EDGES[edge]
+    t = lowrank_tensor(shape=shape, ranks=ranks, nnz=nnz, noise=0.1, seed=3)
+    if edge == "duplicates":  # the first 20 coordinates again, new values
+        idx = np.concatenate([t.idx, t.idx[:20]])
+        vals = np.concatenate([t.vals, np.random.default_rng(0).random(20)])
+        t = CooTensor(idx, vals, t.shape)
+    cfg = _cfg(ranks=ranks, partitions=3, max_iters=2, variant=variant)
+    rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
+    rr = reference.factorize(t, cfg)
+    np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
+    assert rs.core_nnz_history == rr.core_nnz_history
 
 
 def test_failed_view_count_releases_persisted_data(spark, monkeypatch):
