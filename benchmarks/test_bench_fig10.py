@@ -4,6 +4,7 @@ import pytest
 from repro.core.config import PTuckerConfig
 from repro.core.ptucker import factorize as factorize_ptucker
 from repro.synth_data import sparse_tensor_uniform
+from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
 @pytest.fixture(scope="module")
@@ -15,12 +16,11 @@ def tensor(spark):
 @pytest.mark.parametrize("threads", [1, 4, 16])
 def test_fig10_iteration_at_T(benchmark, spark, tensor, threads):
     t, entries = tensor
-    cfg = PTuckerConfig(
-        ranks=(10,) * 3, max_iters=1, tol=0.0, partitions=threads
-    )
+    cfg = PTuckerConfig(ranks=(10,) * 3, max_iters=1, tol=0.0)
     benchmark.extra_info["T"] = threads
-    benchmark.pedantic(
-        lambda: factorize_ptucker(spark, entries, t.shape, cfg),
-        rounds=1,
-        iterations=1,
-    )
+    with ModePartitionedTensor(entries, t.shape, threads) as mpt:
+        benchmark.pedantic(
+            lambda: factorize_ptucker(spark, mpt, t.shape, cfg),
+            rounds=1,
+            iterations=1,
+        )

@@ -18,9 +18,8 @@ from repro.tensor.spark_tensor import ModePartitionedTensor
 def movielens_split(spark):
     name, tensor, ranks = datasets(scale=0.25)[1]  # MovieLens stand-in
     train, test = tensor.split(0.1, seed=1234)
-    mpt = ModePartitionedTensor(train.to_spark(spark), train.shape)
-    yield train, test, ranks, mpt
-    mpt.unpersist()
+    with ModePartitionedTensor(train.to_spark(spark), train.shape) as mpt:
+        yield train, test, ranks, mpt
 
 
 def test_fig11_ptucker_movielens(benchmark, spark, movielens_split):
@@ -40,9 +39,7 @@ def test_fig11_ptucker_movielens(benchmark, spark, movielens_split):
 def test_fig11_shot_movielens(benchmark, spark, movielens_split):
     train, test, ranks, mpt = movielens_split
     res = benchmark.pedantic(
-        lambda: factorize_shot(
-            spark, mpt, train.shape, ranks, max_iters=5, tol=1e-3
-        ),
+        lambda: factorize_shot(mpt, ranks, max_iters=5, tol=1e-3),
         rounds=1,
         iterations=1,
     )

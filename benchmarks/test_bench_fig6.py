@@ -17,18 +17,16 @@ from repro.tensor.spark_tensor import ModePartitionedTensor
 def nnz_point(spark):
     """Fig 6(c) mid point: N=3, I=10^4, |Ω|=10^5, J=10 (scaled)."""
     t = sparse_tensor_uniform(shape=(10_000,) * 3, nnz=100_000, seed=1)
-    mpt = ModePartitionedTensor(t.to_spark(spark), t.shape)
-    yield t, mpt
-    mpt.unpersist()
+    with ModePartitionedTensor(t.to_spark(spark), t.shape) as mpt:
+        yield t, mpt
 
 
 @pytest.fixture(scope="module")
 def order_point(spark):
     """Fig 6(a) point: N=5, I=100, |Ω|=10^3, J=3."""
     t = sparse_tensor_uniform(shape=(100,) * 5, nnz=1000, seed=2)
-    mpt = ModePartitionedTensor(t.to_spark(spark), t.shape)
-    yield t, mpt
-    mpt.unpersist()
+    with ModePartitionedTensor(t.to_spark(spark), t.shape) as mpt:
+        yield t, mpt
 
 
 def _bench(benchmark, fn):
@@ -45,7 +43,7 @@ def test_fig6c_shot(benchmark, spark, nnz_point):
     t, mpt = nnz_point
     _bench(
         benchmark,
-        lambda: factorize_shot(spark, mpt, t.shape, (10,) * 3, max_iters=1, tol=0.0),
+        lambda: factorize_shot(mpt, (10,) * 3, max_iters=1, tol=0.0),
     )
 
 
@@ -53,7 +51,7 @@ def test_fig6c_csf(benchmark, spark, nnz_point):
     t, mpt = nnz_point
     _bench(
         benchmark,
-        lambda: factorize_csf(spark, mpt, t.shape, (10,) * 3, max_iters=1, tol=0.0),
+        lambda: factorize_csf(mpt, (10,) * 3, max_iters=1, tol=0.0),
     )
 
 
@@ -67,7 +65,7 @@ def test_fig6a_order5_shot(benchmark, spark, order_point):
     t, mpt = order_point
     _bench(
         benchmark,
-        lambda: factorize_shot(spark, mpt, t.shape, (3,) * 5, max_iters=1, tol=0.0),
+        lambda: factorize_shot(mpt, (3,) * 5, max_iters=1, tol=0.0),
     )
 
 
@@ -75,7 +73,7 @@ def test_fig6a_order5_csf(benchmark, spark, order_point):
     t, mpt = order_point
     _bench(
         benchmark,
-        lambda: factorize_csf(spark, mpt, t.shape, (3,) * 5, max_iters=1, tol=0.0),
+        lambda: factorize_csf(mpt, (3,) * 5, max_iters=1, tol=0.0),
     )
 
 

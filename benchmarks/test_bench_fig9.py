@@ -17,9 +17,8 @@ def tensor(spark):
     t = lowrank_tensor(
         shape=(3_000,) * 3, ranks=(10,) * 3, nnz=30_000, noise=0.01, seed=5
     )
-    mpt = ModePartitionedTensor(t.to_spark(spark), t.shape)
-    yield t, mpt
-    mpt.unpersist()
+    with ModePartitionedTensor(t.to_spark(spark), t.shape) as mpt:
+        yield t, mpt
 
 
 @pytest.mark.parametrize("variant", ["default", "approx"])

@@ -7,8 +7,6 @@ miniature measurement pass. Tables V/VI benchmark the discovery stage
 """
 import pytest
 
-from repro.core.config import PTuckerConfig
-from repro.core.ptucker import factorize as factorize_ptucker
 from repro.discovery.concepts import discover_concepts
 from repro.discovery.relations import top_relations
 from repro.experiments.table1_summary import derive_summary
@@ -17,17 +15,14 @@ from repro.experiments.table3_complexity import (
     nnz_scaling_exponent,
 )
 from repro.experiments.table4_datasets import dataset_table
-from repro.synth_data import movielens_like
+from repro.experiments.table5_concepts import factorize_movielens
 
 
 @pytest.fixture(scope="module")
 def factorized_movielens(spark):
-    tensor, truth = movielens_like(
-        n_users=300, n_movies=100, nnz=20_000, seed=7
+    return factorize_movielens(
+        spark, rank=6, iters=8, nnz=20_000, n_users=300, n_movies=100, seed=7
     )
-    cfg = PTuckerConfig(ranks=(6, 6, 6, 6), max_iters=8, tol=1e-4)
-    res = factorize_ptucker(spark, tensor.to_spark(spark), tensor.shape, cfg)
-    return res, truth
 
 
 _NNZ_ROWS = [

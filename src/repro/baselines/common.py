@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 from pyspark import RDD
-from pyspark.sql import DataFrame
 
 from repro.core.config import PTuckerResult, converged
 from repro.core.delta import full_product_block
@@ -175,8 +174,7 @@ def spark_core_update(
 
 
 def hooi_family_loop(
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
+    mpt: ModePartitionedTensor,
     ranks: tuple[int, ...],
     mode_updater,
     max_iters: int,
@@ -186,17 +184,17 @@ def hooi_family_loop(
     """Shared Algorithm-1 outer loop for the HOOI-family baselines.
 
     ``mode_updater(n, blocks, factors) -> new A^(n)`` supplies the
-    per-method TTMc+SVD step over the blocks of the mode-n view. Per
-    iteration the core is recomputed (line 7) and the observed-entry
-    reconstruction error (Eq. 6) recorded so speed and accuracy are
-    measured exactly as for P-Tucker. The run's blocks, and views built
-    here from a raw DataFrame, are released on exit, also when a pass
-    raises.
+    per-method TTMc+SVD step over the blocks of the mode-n view of the
+    caller's ``mpt``. Per iteration the core is recomputed (line 7) and
+    the observed-entry reconstruction error (Eq. 6) recorded so speed and
+    accuracy are measured exactly as for P-Tucker. The run's blocks are
+    released on exit, also when a pass raises.
     """
+    shape = mpt.shape
     factors = init_orthonormal_factors(shape, ranks, seed)
     core = np.zeros(ranks)
     result = PTuckerResult(factors=factors, core=core)
-    with mode_blocks(entries, shape) as blocks:
+    with mode_blocks(mpt) as blocks:
         for _ in range(max_iters):
             t0 = time.perf_counter()
             for n in range(len(shape)):

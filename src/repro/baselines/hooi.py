@@ -16,7 +16,6 @@ S-HOT_scan / Tucker-CSF must reproduce its subspaces.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.common import (
     ensure_budget,
@@ -28,9 +27,7 @@ from repro.tensor.spark_tensor import ModePartitionedTensor, assemble_factor
 
 
 def factorize_hooi(
-    spark: SparkSession,
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
+    mpt: ModePartitionedTensor,
     ranks: tuple[int, ...],
     *,
     max_iters: int = 20,
@@ -41,14 +38,12 @@ def factorize_hooi(
     """Run classic Tucker-ALS (HOOI) with driver-side dense Y_(n)."""
 
     def updater(n, blocks, factors):
-        k_cols = y_cols(factors, n)
-        ensure_budget(
-            shape[n] * k_cols * 8, mem_budget, f"dense Y_({n}) matricization"
-        )
+        dim, k_cols = mpt.shape[n], y_cols(factors, n)
+        ensure_budget(dim * k_cols * 8, mem_budget, f"dense Y_({n}) matricization")
         rows = rows_pass(blocks, factors, n, None, np.eye(k_cols))
-        y = assemble_factor(rows, shape[n], k_cols)
+        y = assemble_factor(rows, dim, k_cols)
         u = np.linalg.svd(y, full_matrices=False)[0][:, : ranks[n]]
         # K < J_n: pad with zero columns.
         return np.pad(u, ((0, 0), (0, ranks[n] - u.shape[1])))
 
-    return hooi_family_loop(entries, shape, ranks, updater, max_iters, tol, seed)
+    return hooi_family_loop(mpt, ranks, updater, max_iters, tol, seed)

@@ -15,8 +15,6 @@ its poor accuracy on sparse data (Fig. 11).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
-
 from repro.baselines.common import (
     ensure_budget,
     gram_update,
@@ -34,9 +32,7 @@ def scan_bytes(k_cols: int) -> int:
 
 
 def factorize_shot(
-    spark: SparkSession,
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
+    mpt: ModePartitionedTensor,
     ranks: tuple[int, ...],
     *,
     max_iters: int = 20,
@@ -52,6 +48,6 @@ def factorize_shot(
             mem_budget,
             f"S-HOT scan window for mode {n}",
         )
-        return gram_update(blocks, factors, n, shape[n], ranks[n], _SCAN_ROWS)
+        return gram_update(blocks, factors, n, mpt.shape[n], ranks[n], _SCAN_ROWS)
 
-    return hooi_family_loop(entries, shape, ranks, updater, max_iters, tol, seed)
+    return hooi_family_loop(mpt, ranks, updater, max_iters, tol, seed)

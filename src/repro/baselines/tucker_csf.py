@@ -16,8 +16,6 @@ Missing entries are zeros, as in the original (accuracy ✗ in Table I).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
-
 from repro.baselines.common import (
     ensure_budget,
     gram_update,
@@ -34,9 +32,7 @@ def materialized_bytes(dim: int, k_cols: int) -> int:
 
 
 def factorize_csf(
-    spark: SparkSession,
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
+    mpt: ModePartitionedTensor,
     ranks: tuple[int, ...],
     *,
     max_iters: int = 20,
@@ -48,10 +44,10 @@ def factorize_csf(
 
     def updater(n, blocks, factors):
         ensure_budget(
-            materialized_bytes(shape[n], y_cols(factors, n)),
+            materialized_bytes(mpt.shape[n], y_cols(factors, n)),
             mem_budget,
             f"Tucker-CSF materialized Y_({n}) rows",
         )
-        return gram_update(blocks, factors, n, shape[n], ranks[n], None)
+        return gram_update(blocks, factors, n, mpt.shape[n], ranks[n], None)
 
-    return hooi_family_loop(entries, shape, ranks, updater, max_iters, tol, seed)
+    return hooi_family_loop(mpt, ranks, updater, max_iters, tol, seed)

@@ -34,8 +34,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from pyspark import RDD
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
 from repro.core import delta as delta_mod
@@ -52,7 +50,6 @@ from repro.tensor.spark_tensor import (
     block_pass,
     collect,
     to_blocks,
-    typed_entries,
 )
 
 
@@ -93,30 +90,18 @@ def _reshuffle(out: RDD, mode: int, partitions: int) -> RDD:
 
 
 @contextmanager
-def cache_passes(
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
-    cfg: PTuckerConfig,
-):
+def cache_passes(mpt: ModePartitionedTensor, cfg: PTuckerConfig):
     """The Cache step of ``ptucker``'s ALS loop, as a context manager.
 
-    Mode 0 reads the blocks of the ``i0``-partitioned view (repartitioned
-    here from a raw DataFrame), converted by its first pass and persisted
-    for the run; mode ``n > 0`` reads the previous mode's persisted output,
-    reshuffled by ``i_n``. Each step releases its broadcast, and
+    Mode 0 reads the blocks of ``mpt``'s ``i0``-partitioned view,
+    converted by its first pass and persisted for the run; mode ``n > 0``
+    reads the previous mode's persisted output, reshuffled by ``i_n`` into
+    the same ``mpt.partitions``. Each step releases its broadcast, and
     everything persisted here is released on exit, a raising pass
-    included.
+    included; the views stay with their owner.
     """
-    n_modes = len(shape)
-    if isinstance(entries, ModePartitionedTensor):
-        view, partitions = entries.view(0), entries.partitions
-    else:
-        sc = entries.sparkSession.sparkContext
-        partitions = cfg.partitions or sc.defaultParallelism
-        view = typed_entries(entries, n_modes).repartition(
-            partitions, F.col("i0")
-        )
-    base = to_blocks(view).persist(StorageLevel.MEMORY_AND_DISK)
+    n_modes, partitions = mpt.order, mpt.partitions
+    base = to_blocks(mpt.view(0)).persist(StorageLevel.MEMORY_AND_DISK)
     prev = cur = None  # persisted outputs of the previous and this mode
 
     def step(n: int, state) -> list:

@@ -22,8 +22,9 @@ class PTuckerConfig:
         truncation_rate: p, fraction of core entries removed per iteration
             (approx variant only; paper default 0.2).
         seed: RNG seed for the uniform(0,1) initialization.
-        partitions: Spark partitions per mode view (None = default
-            parallelism). Ignored by the sequential reference engine.
+
+    The Spark partition count is not a hyper-parameter: it belongs to the
+    ``ModePartitionedTensor`` an engine reads.
     """
 
     ranks: tuple[int, ...]
@@ -33,7 +34,6 @@ class PTuckerConfig:
     variant: str = "default"
     truncation_rate: float = 0.2
     seed: int = 0
-    partitions: int | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:

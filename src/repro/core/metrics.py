@@ -16,16 +16,11 @@ from repro.core import ptucker
 from repro.tensor.coo import CooTensor
 
 
-def predict(core: np.ndarray, factors: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Eq. 5 predictions for arbitrary (possibly unobserved) indices."""
-    return delta_mod.predictions(core, factors, idx)
-
-
 def reconstruction_error(
     tensor: CooTensor, core: np.ndarray, factors: list[np.ndarray]
 ) -> float:
     """Eq. 6: sqrt of the sum of squared residuals over observed entries."""
-    pred = predict(core, factors, tensor.idx)
+    pred = delta_mod.predictions(core, factors, tensor.idx)
     r = tensor.vals - pred
     return float(np.sqrt(np.dot(r, r)))
 
@@ -37,7 +32,7 @@ def fit(tensor: CooTensor, core: np.ndarray, factors: list[np.ndarray]) -> float
 
 def rmse(tensor: CooTensor, core: np.ndarray, factors: list[np.ndarray]) -> float:
     """Root-mean-square error of Eq. 5 predictions on ``tensor``'s entries."""
-    pred = predict(core, factors, tensor.idx)
+    pred = delta_mod.predictions(core, factors, tensor.idx)
     r = tensor.vals - pred
     return float(np.sqrt(np.mean(r * r)))
 

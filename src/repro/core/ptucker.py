@@ -1,8 +1,9 @@
 """P-Tucker on Spark: fully parallel row-wise ALS (Algorithms 2-3).
 
 The sparse tensor lives in Spark as N persisted views, view ``n`` hash-
-partitioned by the mode-n index (``ModePartitionedTensor``); a run reads
-them as persisted NumPy blocks (``spark_tensor.mode_blocks``). One mode
+partitioned by the mode-n index, in a ``ModePartitionedTensor`` that the
+caller builds, with its partition count, and releases; a run reads the
+views as persisted NumPy blocks (``spark_tensor.mode_blocks``). One mode
 update is a single ``run_pass`` action over the blocks of view ``n``:
 each partition owns complete row groups Ω^(n)_{i_n}, vectorizes the
 δ/B/c accumulation with NumPy, solves the (B+λI) systems for its rows,
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from pyspark import RDD
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.approx import (
     dense_core_from_coo,
@@ -90,18 +91,13 @@ def _update_task(mode: int, lam: float, last: bool):
 
 
 @contextmanager
-def _update_passes(
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
-    cfg: PTuckerConfig,
-):
+def _update_passes(mpt: ModePartitionedTensor, cfg: PTuckerConfig):
     """The default/Approx step: one action over the blocks of view ``n``.
 
-    The run's blocks, and a view set built here from a raw DataFrame, are
-    released on exit.
+    The run's blocks are released on exit.
     """
-    last = len(shape) - 1
-    with mode_blocks(entries, shape, cfg.partitions) as blocks:
+    last = mpt.order - 1
+    with mode_blocks(mpt) as blocks:
 
         def step(n: int, state) -> list:
             task = _update_task(n, cfg.lam, n == last)
@@ -141,22 +137,24 @@ def spark_rerror(blocks: RDD, bc_rerror, ranks) -> np.ndarray:
 
 def factorize(
     spark: SparkSession,
-    entries: DataFrame | ModePartitionedTensor,
+    mpt: ModePartitionedTensor,
     shape: tuple[int, ...],
     cfg: PTuckerConfig,
 ) -> PTuckerResult:
     """Run P-Tucker (default, cache or approx variant) on Spark.
 
-    Whatever a variant persists for the run (a view set built from a raw
-    DataFrame, Cache's Pres-carrying outputs) and every broadcast is
-    released on every exit, a raising pass included. ``spark`` is unused:
-    the passes reach Spark through ``entries``.
+    ``mpt`` is the caller's: its views, and so its partition count, are
+    set once when it is built and stay persisted after the run. What a
+    variant persists for the run (the view blocks, Cache's Pres-carrying
+    outputs) and every broadcast is released on every exit, a raising
+    pass included. ``spark`` is unused: the passes reach Spark through
+    ``mpt``.
     """
     if cfg.variant == "cache":
         from repro.core.cache import cache_passes as passes
     else:
         passes = _update_passes
-    with passes(entries, shape, cfg) as step:
+    with passes(mpt, cfg) as step:
         return _als(step, shape, cfg)
 
 

@@ -35,17 +35,6 @@ class RowUpdateResult:
         return float(resid @ resid)
 
 
-def _segments(
-    sorted_keys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique keys, segment start offsets and each key's segment number
-    of a sorted key array."""
-    uniq, starts, seg = np.unique(
-        sorted_keys, return_index=True, return_inverse=True
-    )
-    return uniq, starts, seg
-
-
 def accumulate_b_c(
     delta: np.ndarray, vals: np.ndarray, seg_starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +117,9 @@ def update_rows(
         )
     else:
         d = delta_mod.delta_dense(core, factors, s_idx, mode)
-    uniq, starts, seg = _segments(s_idx[:, mode])
+    uniq, starts, seg = np.unique(
+        s_idx[:, mode], return_index=True, return_inverse=True
+    )
     b, c = accumulate_b_c(d, s_vals, starts)
     new_rows = solve_rows_batched(b, c, lam)
     pred = np.empty(len(vals), dtype=np.float64)

@@ -15,6 +15,7 @@ from repro.core.cache import default_intermediate_bytes
 from repro.core.config import PTuckerConfig
 from repro.core.ptucker import factorize as factorize_ptucker
 from repro.synth_data import sparse_tensor_uniform
+from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
 def thread_scalability(
@@ -30,14 +31,10 @@ def thread_scalability(
     entries = t.to_spark(spark)
     rows = []
     t1: float | None = None
+    cfg = PTuckerConfig(ranks=(rank,) * 3, max_iters=iters, tol=0.0)
     for n_threads in threads:
-        cfg = PTuckerConfig(
-            ranks=(rank,) * 3,
-            max_iters=iters,
-            tol=0.0,
-            partitions=n_threads,
-        )
-        res = factorize_ptucker(spark, entries, t.shape, cfg)
+        with ModePartitionedTensor(entries, t.shape, n_threads) as mpt:
+            res = factorize_ptucker(spark, mpt, t.shape, cfg)
         if t1 is None:
             t1 = res.mean_iter_time
         rows.append(

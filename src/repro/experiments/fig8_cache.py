@@ -9,12 +9,15 @@ local-mode RSS cannot isolate per-task intermediates (DESIGN.md).
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from pyspark.sql import SparkSession
 
 from repro.core.cache import default_intermediate_bytes, pres_bytes
 from repro.core.config import PTuckerConfig
 from repro.core.ptucker import factorize as factorize_ptucker
 from repro.synth_data import sparse_tensor_uniform
+from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
 def cache_tradeoff(
@@ -30,20 +33,13 @@ def cache_tradeoff(
     rows = []
     for n in orders:
         t = sparse_tensor_uniform(shape=(i_dim,) * n, nnz=nnz, seed=n)
-        entries = t.to_spark(spark)
         ranks = (rank,) * n
-        res_d = factorize_ptucker(
-            spark,
-            entries,
-            t.shape,
-            PTuckerConfig(ranks=ranks, max_iters=iters, tol=0.0),
-        )
-        res_c = factorize_ptucker(
-            spark,
-            entries,
-            t.shape,
-            PTuckerConfig(ranks=ranks, max_iters=iters, tol=0.0, variant="cache"),
-        )
+        cfg = PTuckerConfig(ranks=ranks, max_iters=iters, tol=0.0)
+        with ModePartitionedTensor(t.to_spark(spark), t.shape) as mpt:
+            res_d = factorize_ptucker(spark, mpt, t.shape, cfg)
+            res_c = factorize_ptucker(
+                spark, mpt, t.shape, replace(cfg, variant="cache")
+            )
         mem_d = default_intermediate_bytes(threads, rank)
         mem_c = pres_bytes(t.nnz, ranks)
         rows.append(

@@ -8,11 +8,14 @@ degrades slightly — a time/accuracy trade-off. Scaled here to I=10^4,
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from pyspark.sql import SparkSession
 
 from repro.core.config import PTuckerConfig
 from repro.core.ptucker import factorize as factorize_ptucker
 from repro.synth_data import lowrank_tensor
+from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
 def approx_tradeoff(
@@ -27,26 +30,12 @@ def approx_tradeoff(
     t = lowrank_tensor(
         shape=(i_dim,) * 3, ranks=(rank,) * 3, nnz=nnz, noise=0.01, seed=9
     )
-    entries = t.to_spark(spark)
     norm = t.norm()
-    res_d = factorize_ptucker(
-        spark,
-        entries,
-        t.shape,
-        PTuckerConfig(ranks=(rank,) * 3, max_iters=iters, tol=0.0),
-    )
-    res_a = factorize_ptucker(
-        spark,
-        entries,
-        t.shape,
-        PTuckerConfig(
-            ranks=(rank,) * 3,
-            max_iters=iters,
-            tol=0.0,
-            variant="approx",
-            truncation_rate=truncation_rate,
-        ),
-    )
+    cfg = PTuckerConfig(ranks=(rank,) * 3, max_iters=iters, tol=0.0)
+    approx = replace(cfg, variant="approx", truncation_rate=truncation_rate)
+    with ModePartitionedTensor(t.to_spark(spark), t.shape) as mpt:
+        res_d = factorize_ptucker(spark, mpt, t.shape, cfg)
+        res_a = factorize_ptucker(spark, mpt, t.shape, approx)
     rows = []
     for it in range(len(res_d.errors)):
         rows.append(

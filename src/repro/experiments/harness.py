@@ -40,7 +40,7 @@ def _ptucker(variant: str) -> Callable:
 
 def _hooi_family(factorize: Callable) -> Callable:
     def run(spark, mpt, tensor, ranks, iters, tol, wopt_budget):
-        return factorize(spark, mpt, tensor.shape, ranks, max_iters=iters, tol=tol)
+        return factorize(mpt, ranks, max_iters=iters, tol=tol)
 
     return run
 
@@ -78,9 +78,8 @@ def run_methods(
     before returning, also when a method raises. A simulated O.O.M. gives
     ``None``; any other error propagates.
     """
-    mpt = ModePartitionedTensor(tensor.to_spark(spark), tensor.shape)
     results = []
-    try:
+    with ModePartitionedTensor(tensor.to_spark(spark), tensor.shape) as mpt:
         for name in names:
             try:
                 res = METHODS[name](
@@ -89,8 +88,6 @@ def run_methods(
             except SimulatedOOM:
                 res = None
             results.append((name, res))
-    finally:
-        mpt.unpersist()
     return results
 
 

@@ -15,6 +15,21 @@ from repro.core.config import PTuckerConfig
 from repro.core.ptucker import factorize as factorize_ptucker
 from repro.discovery.concepts import discover_concepts
 from repro.synth_data import movielens_like
+from repro.tensor.spark_tensor import ModePartitionedTensor
+
+
+def factorize_movielens(spark, rank, iters, nnz, n_users, n_movies, seed):
+    """P-Tucker on the planted MovieLens-like tensor; (result, truth).
+
+    The year and hour ranks are clamped to those modes' dimensions.
+    """
+    tensor, truth = movielens_like(
+        n_users=n_users, n_movies=n_movies, nnz=nnz, seed=seed
+    )
+    ranks = (rank, rank, min(rank, tensor.shape[2]), min(rank, tensor.shape[3]))
+    cfg = PTuckerConfig(ranks=ranks, max_iters=iters, tol=1e-4)
+    with ModePartitionedTensor(tensor.to_spark(spark), tensor.shape) as mpt:
+        return factorize_ptucker(spark, mpt, tensor.shape, cfg), truth
 
 
 def concept_discovery(
@@ -31,16 +46,12 @@ def concept_discovery(
     Defaults keep ~300 ratings/movie — the per-movie coverage needed for
     clean clustering (the paper's MovieLens has ~740 ratings/movie).
     """
-    tensor, truth = movielens_like(
-        n_users=n_users, n_movies=n_movies, nnz=nnz, seed=seed
+    res, truth = factorize_movielens(
+        spark, rank, iters, nnz, n_users, n_movies, seed
     )
     n_genres = len(truth["year_peaks"])
-    ranks = (rank, rank, min(rank, tensor.shape[2]), min(rank, tensor.shape[3]))
-    cfg = PTuckerConfig(ranks=ranks, max_iters=iters, tol=1e-4)
-    res = factorize_ptucker(spark, tensor.to_spark(spark), tensor.shape, cfg)
-    movie_factor = res.factors[1]
     report = discover_concepts(
-        movie_factor, n_genres, truth=truth["genre_of_movie"], seed=0
+        res.factors[1], n_genres, truth=truth["genre_of_movie"], seed=0
     )
     rows = []
     for c, exemplars in enumerate(report.exemplars):

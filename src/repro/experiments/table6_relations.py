@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.config import PTuckerConfig
-from repro.core.ptucker import factorize as factorize_ptucker
 from repro.discovery.relations import relation_hit_rate, top_relations
-from repro.synth_data import movielens_like
+from repro.experiments.table5_concepts import factorize_movielens
 
 # Mode layout of movielens_like: (user, movie, year, hour).
 MOVIE, YEAR, HOUR = 1, 2, 3
@@ -36,12 +34,9 @@ def relation_discovery(
     Defaults match :func:`repro.experiments.table5_concepts.concept_discovery`
     (per-movie coverage comparable, after scaling, to real MovieLens).
     """
-    tensor, truth = movielens_like(
-        n_users=n_users, n_movies=n_movies, nnz=nnz, seed=seed
+    res, truth = factorize_movielens(
+        spark, rank, iters, nnz, n_users, n_movies, seed
     )
-    ranks = (rank, rank, min(rank, tensor.shape[2]), min(rank, tensor.shape[3]))
-    cfg = PTuckerConfig(ranks=ranks, max_iters=iters, tol=1e-4)
-    res = factorize_ptucker(spark, tensor.to_spark(spark), tensor.shape, cfg)
     relations = top_relations(
         res.core,
         res.factors,

@@ -61,12 +61,12 @@ class CooTensor:
         data["val"] = self.vals.astype(np.float64)
         return pd.DataFrame(data)
 
-    def to_spark(self, spark, partitions: int | None = None):
+    def to_spark(self, spark):
         """Entries as a Spark DataFrame (columns i0..i{N-1}, val)."""
-        df = spark.createDataFrame(self.to_pandas())
-        if partitions is not None:
-            df = df.repartition(partitions)
-        return df
+        # Imported here: the reference engine uses CooTensor without Spark.
+        from repro.tensor.spark_tensor import spark_entries_from_coo
+
+        return spark_entries_from_coo(spark, self.idx, self.vals)
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense ndarray (missing entries -> 0). Small tensors only."""

@@ -47,6 +47,9 @@ def typed_entries(entries: DataFrame, order: int) -> DataFrame:
 class ModePartitionedTensor:
     """N mode-partitioned, persisted views of one sparse tensor.
 
+    Every Spark engine reads one, and its caller owns it: the views live
+    until ``unpersist()``, which a ``with`` block calls on exit.
+
     Args:
         entries: DataFrame with columns i0..i{N-1} (long) and val (double).
         shape:   tensor dimensionality.
@@ -90,6 +93,12 @@ class ModePartitionedTensor:
         for v in self._views:
             v.unpersist()
 
+    def __enter__(self) -> ModePartitionedTensor:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.unpersist()
+
 
 def to_blocks(entries: DataFrame) -> RDD:
     """Lazy RDD of one ``(idx, vals)`` block per non-empty partition.
@@ -117,19 +126,13 @@ def to_blocks(entries: DataFrame) -> RDD:
 
 
 @contextmanager
-def mode_blocks(
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
-    partitions: int | None = None,
-):
+def mode_blocks(mpt: ModePartitionedTensor):
     """``blocks(n)`` for one run: the persisted blocks of mode view ``n``.
 
     View ``n`` is converted by the first pass over ``blocks(n)``, inside
-    that pass's job. On exit every block RDD is unpersisted, and so is a
-    view set built here from a raw DataFrame, also when a pass raises.
+    that pass's job. On exit every block RDD is unpersisted, also when a
+    pass raises; the views stay with their owner.
     """
-    owns = not isinstance(entries, ModePartitionedTensor)
-    mpt = ModePartitionedTensor(entries, shape, partitions) if owns else entries
     made: dict[int, RDD] = {}
 
     def blocks(n: int) -> RDD:
@@ -142,8 +145,6 @@ def mode_blocks(
     finally:
         for b in made.values():
             b.unpersist()
-        if owns:
-            mpt.unpersist()
 
 
 def block_pass(blocks: RDD, bc, task) -> RDD:

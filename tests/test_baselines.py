@@ -18,7 +18,7 @@ from repro.baselines.common import (
 from repro.core import reference
 from repro.core.config import PTuckerConfig
 from repro.core.metrics import reconstruction_error, rmse
-from repro.synth_data import lowrank_tensor, sparse_tensor_uniform
+from repro.synth_data import lowrank_tensor
 from repro.tensor.ops import kron_rows, ttmc_dense
 from repro.tensor.spark_tensor import ModePartitionedTensor
 
@@ -32,9 +32,8 @@ def tensor():
 
 @pytest.fixture(scope="module")
 def mpt(spark, tensor):
-    m = ModePartitionedTensor(tensor.to_spark(spark), tensor.shape, partitions=4)
-    yield m
-    m.unpersist()
+    with ModePartitionedTensor(tensor.to_spark(spark), tensor.shape, 4) as m:
+        yield m
 
 
 def test_ensure_budget_passes_within():
@@ -110,40 +109,32 @@ def test_hooi_family_agree(spark, tensor, mpt):
     """HOOI, CSF and S-HOT are the same algorithm with different
     materialization — their error sequences must coincide."""
     kw = dict(max_iters=3, tol=0.0, seed=0)
-    rh = factorize_hooi(spark, mpt, tensor.shape, (3, 3, 3), **kw)
-    rc = factorize_csf(spark, mpt, tensor.shape, (3, 3, 3), **kw)
-    rs = factorize_shot(spark, mpt, tensor.shape, (3, 3, 3), **kw)
+    rh = factorize_hooi(mpt, (3, 3, 3), **kw)
+    rc = factorize_csf(mpt, (3, 3, 3), **kw)
+    rs = factorize_shot(mpt, (3, 3, 3), **kw)
     np.testing.assert_allclose(rc.errors, rh.errors, rtol=1e-6)
     np.testing.assert_allclose(rs.errors, rh.errors, rtol=1e-6)
 
 
 def test_hooi_error_decreases(spark, tensor, mpt):
-    res = factorize_hooi(
-        spark, mpt, tensor.shape, (3, 3, 3), max_iters=4, tol=0.0, seed=0
-    )
+    res = factorize_hooi(mpt, (3, 3, 3), max_iters=4, tol=0.0, seed=0)
     assert res.errors[-1] <= res.errors[0]
 
 
 def test_hooi_factors_orthonormal(spark, tensor, mpt):
-    res = factorize_hooi(
-        spark, mpt, tensor.shape, (3, 3, 3), max_iters=2, tol=0.0, seed=0
-    )
+    res = factorize_hooi(mpt, (3, 3, 3), max_iters=2, tol=0.0, seed=0)
     for f in res.factors:
         np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-8)
 
 
 def test_csf_oom_guard(spark, tensor, mpt):
     with pytest.raises(SimulatedOOM):
-        factorize_csf(
-            spark, mpt, tensor.shape, (3, 3, 3), max_iters=1, mem_budget=10
-        )
+        factorize_csf(mpt, (3, 3, 3), max_iters=1, mem_budget=10)
 
 
 def test_shot_oom_guard(spark, tensor, mpt):
     with pytest.raises(SimulatedOOM):
-        factorize_shot(
-            spark, mpt, tensor.shape, (3, 3, 3), max_iters=1, mem_budget=10
-        )
+        factorize_shot(mpt, (3, 3, 3), max_iters=1, mem_budget=10)
 
 
 def test_shot_smaller_footprint_than_csf():
@@ -186,9 +177,7 @@ def test_ptucker_beats_zero_filling_on_sparse(spark, tensor, mpt):
     pt = reference.factorize(
         tensor, PTuckerConfig(ranks=(3, 3, 3), max_iters=5, tol=0.0, seed=0)
     )
-    sh = factorize_shot(
-        spark, mpt, tensor.shape, (3, 3, 3), max_iters=5, tol=0.0, seed=0
-    )
+    sh = factorize_shot(mpt, (3, 3, 3), max_iters=5, tol=0.0, seed=0)
     assert pt.errors[-1] < sh.errors[-1] / 1.4
 
 
@@ -197,31 +186,14 @@ def test_ptucker_beats_zero_filling_test_rmse(spark):
         shape=(30, 25, 20), ranks=(3, 3, 3), nnz=4000, noise=0.01, seed=6
     )
     train, test = t.split(0.1, seed=0)
-    m = ModePartitionedTensor(train.to_spark(spark), train.shape, partitions=4)
-    try:
-        pt = reference.factorize(
-            train, PTuckerConfig(ranks=(3, 3, 3), max_iters=8, tol=0.0, seed=0)
-        )
-        sh = factorize_shot(
-            spark, m, train.shape, (3, 3, 3), max_iters=8, tol=0.0, seed=0
-        )
-    finally:
-        m.unpersist()
+    pt = reference.factorize(
+        train, PTuckerConfig(ranks=(3, 3, 3), max_iters=8, tol=0.0, seed=0)
+    )
+    with ModePartitionedTensor(train.to_spark(spark), train.shape, 4) as m:
+        sh = factorize_shot(m, (3, 3, 3), max_iters=8, tol=0.0, seed=0)
     rmse_pt = rmse(test, pt.core, pt.factors)
     rmse_sh = rmse(test, sh.core, sh.factors)
     assert rmse_pt < rmse_sh / 1.4
-
-
-def test_baselines_accept_raw_dataframe(spark, tensor):
-    res = factorize_shot(
-        spark,
-        tensor.to_spark(spark),
-        tensor.shape,
-        (2, 2, 2),
-        max_iters=1,
-        tol=0.0,
-    )
-    assert len(res.errors) == 1
 
 
 def test_wopt_recon_error_matches_metric(tensor):
@@ -245,8 +217,8 @@ def test_failed_baseline_pass_releases_broadcasts(
 ):
     """A bad entry (mode-1 index ≥ I_1 or −1, or a NaN value) makes the
     first pass's tasks raise ``check_entries``'s ValueError; every
-    broadcast the run made is unpersisted anyway, and so are its views
-    and blocks."""
+    broadcast the run made is unpersisted anyway, and so are its blocks,
+    while the caller's views stay persisted."""
     from pyspark import Broadcast
     from pyspark.errors import PythonException
 
@@ -272,9 +244,11 @@ def test_failed_baseline_pass_releases_broadcasts(
     message = "non-finite" if bad == "nan" else "out of bounds"
     df = spark_entries_from_coo(spark, idx, vals)
     persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
-    with pytest.raises(PythonException, match=f"ValueError: .*{message}"):
-        factorize(spark, df, t.shape, (2, 2, 2), max_iters=1)
+    with ModePartitionedTensor(df, t.shape) as m:
+        before = persistent().size()
+        with pytest.raises(PythonException, match=f"ValueError: .*{message}"):
+            factorize(m, (2, 2, 2), max_iters=1)
+        assert persistent().size() == before
+        assert all(m.view(n).storageLevel.useMemory for n in range(3))
     assert made
     assert {id(b) for b in released} == {id(b) for b in made}
-    assert persistent().size() == before

@@ -19,7 +19,7 @@ def setup():
 
 def test_predict_matches_dense(setup):
     t, core, factors = setup
-    got = metrics.predict(core, factors, t.idx)
+    got = predictions(core, factors, t.idx)
     want = reconstruct_dense(core, factors)[tuple(t.idx.T)]
     np.testing.assert_allclose(got, want, atol=1e-10)
 

@@ -62,10 +62,10 @@ def test_unobserved_rows_handled(planted):
     cfg = PTuckerConfig(ranks=(2, 2, 2), max_iters=3, tol=0.0, seed=0)
     res = reference.factorize(t, cfg)
     # Pre-QR zero rows rotate by R^(n); prediction contribution must be 0.
-    from repro.core.metrics import predict
+    from repro.core.delta import predictions
 
     probe = np.array([[missing[0], t.idx[0, 1], t.idx[0, 2]]], np.int64)
-    pred = predict(res.core, res.factors, probe)
+    pred = predictions(res.core, res.factors, probe)
     np.testing.assert_allclose(pred, 0.0, atol=1e-8)
 
 

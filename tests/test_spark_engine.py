@@ -35,15 +35,19 @@ def tensor():
     )
 
 
+def _views(spark, t, partitions) -> ModePartitionedTensor:
+    """The mode views of COO tensor ``t`` on ``partitions`` partitions."""
+    return ModePartitionedTensor(t.to_spark(spark), t.shape, partitions)
+
+
 @pytest.fixture(scope="module")
 def mpt(spark, tensor):
-    m = ModePartitionedTensor(tensor.to_spark(spark), tensor.shape, partitions=4)
-    yield m
-    m.unpersist()
+    with _views(spark, tensor, 4) as m:
+        yield m
 
 
 def _cfg(**kw):
-    base = dict(ranks=(3, 3, 3), max_iters=3, tol=0.0, seed=0, partitions=4)
+    base = dict(ranks=(3, 3, 3), max_iters=3, tol=0.0, seed=0)
     base.update(kw)
     return PTuckerConfig(**base)
 
@@ -175,9 +179,9 @@ def test_spark_matches_reference_approx_past_coo_switch(spark, tensor, mpt):
     assert rs.core_nnz_history == rr.core_nnz_history
 
 
-def test_spark_matches_reference_cache(spark, tensor):
+def test_spark_matches_reference_cache(spark, tensor, mpt):
     cfg = _cfg(variant="cache", max_iters=2)
-    rs = ptucker.factorize(spark, tensor.to_spark(spark), tensor.shape, cfg)
+    rs = ptucker.factorize(spark, mpt, tensor.shape, cfg)
     rr = reference.factorize(tensor, cfg)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=1e-8)
     for a, b in zip(rs.factors, rr.factors):
@@ -198,8 +202,9 @@ _RTOL = {"default": 1e-9, "approx": 1e-9, "cache": 1e-8}
 )
 def test_partition_count_invariance(spark, tensor, variant, partitions):
     """Results must not depend on the parallelism degree."""
-    cfg = _cfg(partitions=partitions, max_iters=2, variant=variant)
-    rs = ptucker.factorize(spark, tensor.to_spark(spark), tensor.shape, cfg)
+    cfg = _cfg(max_iters=2, variant=variant)
+    with _views(spark, tensor, partitions) as m:
+        rs = ptucker.factorize(spark, m, tensor.shape, cfg)
     rr = reference.factorize(tensor, cfg)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
     assert rs.core_nnz_history == rr.core_nnz_history
@@ -212,19 +217,12 @@ def test_empty_partitions_count_as_zero(spark, variant):
     t = lowrank_tensor(
         shape=(16, 12, 3), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=5
     )
-    cfg = _cfg(ranks=(2, 2, 2), partitions=8, max_iters=2, variant=variant)
-    rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
+    cfg = _cfg(ranks=(2, 2, 2), max_iters=2, variant=variant)
+    with _views(spark, t, 8) as m:
+        rs = ptucker.factorize(spark, m, t.shape, cfg)
     rr = reference.factorize(t, cfg)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
     assert rs.core_nnz_history == rr.core_nnz_history
-
-
-def test_accepts_raw_dataframe(spark, tensor):
-    """factorize() must build (and clean up) its own MPT from a DataFrame."""
-    rs = ptucker.factorize(
-        spark, tensor.to_spark(spark), tensor.shape, _cfg(max_iters=1)
-    )
-    assert len(rs.errors) == 1
 
 
 def test_spark_error_monotone(spark, tensor, mpt):
@@ -304,10 +302,9 @@ def test_spark_convergence_stops_early(spark):
     t = lowrank_tensor(
         shape=(20, 15, 10), ranks=(2, 2, 2), nnz=1500, noise=0.0, seed=4
     )
-    cfg = PTuckerConfig(
-        ranks=(2, 2, 2), max_iters=40, tol=1e-3, seed=0, partitions=2
-    )
-    rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
+    cfg = PTuckerConfig(ranks=(2, 2, 2), max_iters=40, tol=1e-3, seed=0)
+    with _views(spark, t, 2) as m:
+        rs = ptucker.factorize(spark, m, t.shape, cfg)
     assert rs.converged
     assert rs.n_iters < 40
 
@@ -315,13 +312,13 @@ def test_spark_convergence_stops_early(spark):
 _GROUPS = itertools.count()
 
 
-def _one_iteration(spark, entries, shape, cfg) -> tuple[int, int]:
+def _one_iteration(spark, mpt, shape, cfg) -> tuple[int, int]:
     """(jobs, shuffle-writing stages) of a one-iteration factorization."""
     sc = spark.sparkContext
     group = f"one-iteration-{cfg.variant}-{next(_GROUPS)}"
     sc.setJobGroup(group, group)
     try:
-        ptucker.factorize(spark, entries, shape, replace(cfg, max_iters=1))
+        ptucker.factorize(spark, mpt, shape, replace(cfg, max_iters=1))
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     jsc = sc._jsc.sc()
@@ -352,9 +349,8 @@ def own_mpt(spark):
     t = lowrank_tensor(
         shape=(30, 20, 10), ranks=(3, 3, 3), nnz=1500, noise=0.1, seed=9
     )
-    m = ModePartitionedTensor(t.to_spark(spark), t.shape, partitions=4)
-    yield m
-    m.unpersist()
+    with _views(spark, t, 4) as m:
+        yield m
 
 
 @pytest.mark.parametrize("variant", ["default", "approx"])
@@ -405,23 +401,38 @@ def _record_broadcasts(spark, monkeypatch) -> tuple[list, list]:
     return made, released
 
 
-def _factorize_with_bad_index(spark, monkeypatch, variant, bad_index):
-    """Factorize a tensor whose first entry has mode-0 index ``bad_index``;
-    the mode-0 tasks raise. Asserts that nothing persisted or broadcast
-    for the run outlives it."""
+def _is_persisted(m: ModePartitionedTensor) -> list[bool]:
+    """Whether each view of ``m`` is persisted."""
+    levels = [m.view(n).storageLevel for n in range(m.order)]
+    return [lv.useMemory or lv.useDisk for lv in levels]
+
+
+def _bad_views(spark, bad_index) -> ModePartitionedTensor:
+    """Views, on 2 partitions, of a tensor whose first entry has mode-0
+    index ``bad_index``; a mode-0 task over it raises."""
     t = lowrank_tensor(
         shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=7
     )
     idx = t.idx.copy()
     idx[0, 0] = bad_index
-    df = spark_entries_from_coo(spark, idx, t.vals)
+    return ModePartitionedTensor(
+        spark_entries_from_coo(spark, idx, t.vals), t.shape, 2
+    )
+
+
+def _factorize_with_bad_index(spark, monkeypatch, variant, bad_index):
+    """Factorize the ``_bad_views`` tensor; the mode-0 tasks raise. Asserts
+    that nothing persisted or broadcast for the run outlives it, and that
+    the caller's views stay persisted."""
     persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
-    made, released = _record_broadcasts(spark, monkeypatch)
-    cfg = _cfg(ranks=(2, 2, 2), partitions=2, variant=variant)
-    with pytest.raises(PythonException, match="out of bounds"):
-        ptucker.factorize(spark, df, t.shape, cfg)
-    assert persistent().size() == before
+    with _bad_views(spark, bad_index) as m:
+        before = persistent().size()
+        made, released = _record_broadcasts(spark, monkeypatch)
+        cfg = _cfg(ranks=(2, 2, 2), variant=variant)
+        with pytest.raises(PythonException, match="out of bounds"):
+            ptucker.factorize(spark, m, m.shape, cfg)
+        assert persistent().size() == before
+        assert all(_is_persisted(m))
     assert made
     assert {id(b) for b in released} == {id(b) for b in made}
 
@@ -449,6 +460,34 @@ def test_run_releases_broadcasts(spark, own_mpt, monkeypatch, variant):
     assert {id(b) for b in released} == {id(b) for b in made}
 
 
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_caller_owns_the_views(spark, variant):
+    """A run persists nothing past its end, a raising run included, and
+    leaves the caller's views persisted, so a second run on them gives
+    the same errors; ``with`` releases the views when its block raises."""
+    t = lowrank_tensor(
+        shape=(12, 10, 8), ranks=(2, 2, 2), nnz=300, noise=0.1, seed=7
+    )
+    cfg = _cfg(ranks=(2, 2, 2), max_iters=2, variant=variant)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    outside = persistent().size()
+    with pytest.raises(PythonException, match="out of bounds"):
+        with _views(spark, t, 2) as good, _bad_views(spark, 12) as bad:
+            before = persistent().size()
+            first = ptucker.factorize(spark, good, t.shape, cfg)
+            assert persistent().size() == before
+            second = ptucker.factorize(spark, good, t.shape, cfg)
+            assert persistent().size() == before
+            assert second.errors == first.errors
+            try:
+                ptucker.factorize(spark, bad, t.shape, cfg)
+            finally:
+                assert persistent().size() == before
+                assert all(_is_persisted(good) + _is_persisted(bad))
+    assert persistent().size() == outside
+    assert not any(_is_persisted(good) + _is_persisted(bad))
+
+
 _EDGES = {
     "order2": ((20, 15), (2, 3), 120),
     "order5": ((6, 5, 4, 4, 3), (2, 2, 1, 2, 2), 400),
@@ -473,8 +512,9 @@ def test_spark_matches_reference_edge_shapes(spark, edge, variant):
         idx = np.concatenate([t.idx, t.idx[:20]])
         vals = np.concatenate([t.vals, np.random.default_rng(0).random(20)])
         t = CooTensor(idx, vals, t.shape)
-    cfg = _cfg(ranks=ranks, partitions=3, max_iters=2, variant=variant)
-    rs = ptucker.factorize(spark, t.to_spark(spark), t.shape, cfg)
+    cfg = _cfg(ranks=ranks, max_iters=2, variant=variant)
+    with _views(spark, t, 3) as m:
+        rs = ptucker.factorize(spark, m, t.shape, cfg)
     rr = reference.factorize(t, cfg)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=_RTOL[variant])
     assert rs.core_nnz_history == rr.core_nnz_history
